@@ -7,6 +7,7 @@ exactly (one matrix exponential per segment).
 """
 
 from .certify import (
+    CertificateProblem,
     CertificateReport,
     evaluate_certificate,
     inequality_lhs,
@@ -63,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ADT",
     "ADT_PLUS",
+    "CertificateProblem",
     "CertificateReport",
     "CommutatorSequence",
     "ComparisonJump",

@@ -16,14 +16,15 @@ stay below exp(pi^2 mu^2 theta / ell^2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .commutators import convergence_margin, correction_bound, lift_bound
 from .errors import InputError
 from .linalg import (
-    as_square_matrix,
+    as_pair,
+    check_positive,
     check_spd,
     expm,
     is_hurwitz,
@@ -32,11 +33,13 @@ from .linalg import (
     spectral_norm,
     spectral_radius,
 )
+from .schedules import check_window
 
 NORM_CONVENTION = "max(|B P0|, |B^T P0|)"
 SUP_GRID_POINTS = 1000
 
 __all__ = [
+    "CertificateProblem",
     "CertificateReport",
     "monodromy",
     "inequality_lhs",
@@ -86,40 +89,137 @@ class CertificateReport:
         }
 
 
-def _check_pde_params(theta, mu, ell) -> None:
-    for name, v in (("theta", theta), ("mu", mu), ("ell", ell)):
-        if not (np.isfinite(v) and v > 0.0):
-            raise InputError(f"{name} must be finite and > 0")
-
-
 def monodromy(A, B, theta: float) -> np.ndarray:
     """One-period transition of the nominal grid dynamics: B e^(theta A)."""
-    A = as_square_matrix(A, "A")
-    B = as_square_matrix(B, "B")
-    if A.shape != B.shape:
-        raise InputError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
-    if not (np.isfinite(theta) and theta > 0.0):
-        raise InputError("theta must be finite and > 0")
+    A, B = as_pair(A, B)
+    check_positive(theta=theta)
     return B @ expm(A, theta)
+
+
+@dataclass(frozen=True)
+class CertificateProblem:
+    """The jump inequality at one parameter point.
+
+    Everything that does not depend on P0 is formed once on construction:
+    E = e^(theta A), Phi = B E, the diffusive rate pi^2 mu^2 / ell^2, the
+    discount and omega.  omega defaults to the correction bound at chi_max;
+    an explicit value poses the inequality for that omega instead.
+    """
+
+    A: np.ndarray
+    B: np.ndarray
+    theta: float
+    chi_max: float
+    mu: float
+    ell: float
+    rel_tol: float = 1e-12
+    omega: float | None = None
+    E: np.ndarray = field(init=False, repr=False)
+    phi: np.ndarray = field(init=False, repr=False)
+    rate: float = field(init=False, repr=False)
+    discount: float = field(init=False, repr=False)
+
+    def __post_init__(self):
+        A, B = as_pair(self.A, self.B)
+        check_positive(theta=self.theta, mu=self.mu, ell=self.ell)
+        check_window(self.theta, self.chi_max)
+        if self.omega is None:
+            omega = correction_bound(A, B, self.chi_max, self.rel_tol)
+        elif np.isfinite(self.omega) and self.omega >= 0.0:
+            omega = self.omega
+        else:
+            raise InputError("omega must be finite and >= 0")
+        E = expm(A, self.theta)
+        rate = (math.pi * self.mu / self.ell) ** 2
+        for name, value in (
+            ("A", A), ("B", B), ("omega", omega), ("E", E), ("phi", B @ E),
+            ("rate", rate), ("discount", math.exp(-2.0 * rate * self.theta)),
+        ):
+            object.__setattr__(self, name, value)
+
+    def lhs(self, P0: np.ndarray) -> np.ndarray:
+        """Left side of the discounted jump inequality for a validated P0."""
+        d = self.discount
+        mixed = max(spectral_norm(self.B @ P0), spectral_norm(self.B.T @ P0))
+        scale = 2.0 * self.omega * mixed + self.omega**2 * spectral_norm(P0)
+        return d * (self.phi.T @ P0 @ self.phi) + d * scale * (self.E.T @ self.E)
+
+    def margin(self, P0: np.ndarray) -> float:
+        """Smallest eigenvalue of P0 minus the left side."""
+        return min_eigenvalue_sym(P0 - self.lhs(P0))
+
+    def search(self, budget: int, seed: int) -> np.ndarray | None:
+        """Seeded random search for a P0 with positive inequality margin.
+
+        Trial zero is the identity; the rest are L^T L + 1e-6 id with L drawn
+        entrywise uniform on [-1, 1], each normalized to unit spectral norm.
+        Returns the first feasible candidate by index, or None.
+        """
+        if budget < 1:
+            raise InputError("budget must be >= 1")
+        n = self.A.shape[0]
+        rng = np.random.default_rng(seed)
+        for trial in range(int(budget)):
+            if trial == 0:
+                cand = np.eye(n)
+            else:
+                L = rng.uniform(-1.0, 1.0, size=(n, n))
+                cand = L.T @ L + 1e-6 * np.eye(n)
+                cand = cand / spectral_norm(cand)
+            if self.margin(cand) > 0.0:
+                return cand
+        return None
+
+    def evaluate(self, p0=None, m_probe: int = 40) -> CertificateReport:
+        """Certificate verdict and diagnostics for P0 (identity by default).
+
+        certified is true iff the spectral radius of the monodromy stays
+        below exp(pi^2 mu^2 theta / ell^2) and the jump inequality holds
+        with positive margin.
+        """
+        A, B, theta, chi_max = self.A, self.B, self.theta, self.chi_max
+        p0 = np.eye(A.shape[0]) if p0 is None else check_spd(p0)
+        threshold = math.exp(self.rate * theta)
+        radius = spectral_radius(self.phi)
+        margin = self.margin(p0)
+
+        shifted = A - self.rate * np.eye(A.shape[0])
+        grid = np.linspace(0.0, theta + 2.0 * chi_max, SUP_GRID_POINTS)
+        semigroup_sup = max(spectral_norm(expm(shifted, t)) for t in grid)
+
+        return CertificateReport(
+            certified=bool(radius < threshold and margin > 0.0),
+            spectral_radius=radius,
+            threshold=threshold,
+            omega=self.omega,
+            margin=margin,
+            phi=self.phi,
+            p0=p0,
+            shifted_a_hurwitz=is_hurwitz(shifted),
+            b_schur=is_schur(B),
+            semigroup_sup=float(semigroup_sup),
+            lift_amplification=lift_bound(A, B, theta, chi_max, self.rel_tol),
+            convergence_proxy=convergence_margin(A, B, theta, chi_max, m_probe),
+            inputs={
+                "n": int(A.shape[0]),
+                "a": [float(v) for v in A.ravel()],
+                "b": [float(v) for v in B.ravel()],
+                "theta": float(theta),
+                "chi_max": float(chi_max),
+                "mu": float(self.mu),
+                "ell": float(self.ell),
+                "rel_tol": float(self.rel_tol),
+                "m_probe": int(m_probe),
+            },
+        )
 
 
 def inequality_lhs(
     P0, A, B, theta: float, mu: float, ell: float, omega: float
 ) -> np.ndarray:
     """Left side of the discounted jump inequality for a given omega."""
-    P0 = check_spd(P0)
-    A = as_square_matrix(A, "A")
-    B = as_square_matrix(B, "B")
-    _check_pde_params(theta, mu, ell)
-    if not (np.isfinite(omega) and omega >= 0.0):
-        raise InputError("omega must be finite and >= 0")
-    E = expm(A, theta)
-    phi = B @ E
-    rate = (math.pi * mu / ell) ** 2
-    discount = math.exp(-2.0 * rate * theta)
-    mixed = max(spectral_norm(B @ P0), spectral_norm(B.T @ P0))
-    scale = 2.0 * omega * mixed + omega**2 * spectral_norm(P0)
-    return discount * (phi.T @ P0 @ phi) + discount * scale * (E.T @ E)
+    # chi_max enters the inequality only through omega, which is given here
+    return CertificateProblem(A, B, theta, 0.0, mu, ell, omega=omega).lhs(check_spd(P0))
 
 
 def evaluate_certificate(
@@ -133,56 +233,8 @@ def evaluate_certificate(
     rel_tol: float = 1e-12,
     m_probe: int = 40,
 ) -> CertificateReport:
-    """Evaluate the certificate at one parameter point.
-
-    certified is true iff the spectral radius of the monodromy stays below
-    exp(pi^2 mu^2 theta / ell^2) and the jump inequality holds with positive
-    margin (smallest eigenvalue of P0 minus the left side).
-    """
-    A = as_square_matrix(A, "A")
-    B = as_square_matrix(B, "B")
-    _check_pde_params(theta, mu, ell)
-    if not 0.0 <= chi_max < theta:
-        raise InputError("need 0 <= chi_max < theta")
-    p0 = np.eye(A.shape[0]) if p0 is None else check_spd(p0)
-
-    omega = correction_bound(A, B, chi_max, rel_tol)
-    phi = monodromy(A, B, theta)
-    rate = (math.pi * mu / ell) ** 2
-    threshold = math.exp(rate * theta)
-    radius = spectral_radius(phi)
-    margin = min_eigenvalue_sym(p0 - inequality_lhs(p0, A, B, theta, mu, ell, omega))
-    certified = bool(radius < threshold and margin > 0.0)
-
-    shifted = A - rate * np.eye(A.shape[0])
-    grid = np.linspace(0.0, theta + 2.0 * chi_max, SUP_GRID_POINTS)
-    semigroup_sup = max(spectral_norm(expm(shifted, t)) for t in grid)
-
-    return CertificateReport(
-        certified=certified,
-        spectral_radius=radius,
-        threshold=threshold,
-        omega=omega,
-        margin=margin,
-        phi=phi,
-        p0=p0,
-        shifted_a_hurwitz=is_hurwitz(shifted),
-        b_schur=is_schur(B),
-        semigroup_sup=float(semigroup_sup),
-        lift_amplification=lift_bound(A, B, theta, chi_max, rel_tol),
-        convergence_proxy=convergence_margin(A, B, theta, chi_max, m_probe),
-        inputs={
-            "n": int(A.shape[0]),
-            "a": [float(v) for v in A.ravel()],
-            "b": [float(v) for v in B.ravel()],
-            "theta": float(theta),
-            "chi_max": float(chi_max),
-            "mu": float(mu),
-            "ell": float(ell),
-            "rel_tol": float(rel_tol),
-            "m_probe": int(m_probe),
-        },
-    )
+    """Evaluate the certificate at one parameter point (see CertificateProblem.evaluate)."""
+    return CertificateProblem(A, B, theta, chi_max, mu, ell, rel_tol).evaluate(p0, m_probe)
 
 
 def search_p0(
@@ -196,32 +248,5 @@ def search_p0(
     seed: int = 0,
     rel_tol: float = 1e-12,
 ) -> np.ndarray | None:
-    """Seeded random search for a P0 with positive inequality margin.
-
-    Trial zero is the identity; the rest are L^T L + 1e-6 id with L drawn
-    entrywise uniform on [-1, 1], each normalized to unit spectral norm.
-    Returns the first feasible candidate by index, or None.
-    """
-    A = as_square_matrix(A, "A")
-    B = as_square_matrix(B, "B")
-    _check_pde_params(theta, mu, ell)
-    if not 0.0 <= chi_max < theta:
-        raise InputError("need 0 <= chi_max < theta")
-    if budget < 1:
-        raise InputError("budget must be >= 1")
-    n = A.shape[0]
-    omega = correction_bound(A, B, chi_max, rel_tol)
-    rng = np.random.default_rng(seed)
-    for trial in range(int(budget)):
-        if trial == 0:
-            cand = np.eye(n)
-        else:
-            L = rng.uniform(-1.0, 1.0, size=(n, n))
-            cand = L.T @ L + 1e-6 * np.eye(n)
-            cand = cand / spectral_norm(cand)
-        margin = min_eigenvalue_sym(
-            cand - inequality_lhs(cand, A, B, theta, mu, ell, omega)
-        )
-        if margin > 0.0:
-            return cand
-    return None
+    """Seeded random search for a P0 (see CertificateProblem.search)."""
+    return CertificateProblem(A, B, theta, chi_max, mu, ell, rel_tol).search(budget, seed)

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .certify import evaluate_certificate, search_p0
+from .certify import CertificateProblem
 from .commutators import correction_terms, nested_commutators
 from .errors import ConvergenceError, GenerationError, InputError
-from .schedules import ImpulseSchedule, generate, schedule_from_doc, schedule_to_doc, validate
+from .schedules import ImpulseSchedule, generate, require_valid, schedule_from_doc, schedule_to_doc
 from .serialize import dumps, fmt
 from .simulate import (
     ParabolicModel,
@@ -141,8 +141,7 @@ def _say(args, message: str) -> None:
 
 def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
-    system = _config_system(cfg)
-    model = _config_model(cfg, system)
+    model = _config_model(cfg, _config_system(cfg))
     schedule_sec = _section(cfg, "schedule")
     try:
         theta = float(schedule_sec["theta"])
@@ -153,23 +152,20 @@ def cmd_certify(args) -> int:
     rel_tol = float(run.get("rel_tol", 1e-12))
     seed = _run_seed(run, args.seed)
 
+    problem = CertificateProblem(
+        model.A, model.B, theta, chi_max, model.mu, model.ell, rel_tol
+    )
     search_meta = {"attempted": False, "found": False, "budget": 0}
     if "p0" in run:
-        p0 = _matrix({"p0": run["p0"]}, "p0", system.n)
+        p0 = _matrix({"p0": run["p0"]}, "p0", model.n)
     else:
         budget = int(run.get("budget", 32))
-        p0 = search_p0(
-            system.A, system.B, theta, chi_max, model.mu, model.ell,
-            budget=budget, seed=seed, rel_tol=rel_tol,
-        )
+        p0 = problem.search(budget, seed)
         search_meta = {"attempted": True, "found": p0 is not None, "budget": budget}
         if p0 is None:
-            p0 = np.eye(system.n)  # inconclusive: report the identity's margin
+            p0 = np.eye(model.n)  # inconclusive: report the identity's margin
 
-    report = evaluate_certificate(
-        system.A, system.B, theta, chi_max, model.mu, model.ell,
-        p0=p0, rel_tol=rel_tol,
-    )
+    report = problem.evaluate(p0)
     doc = report.to_doc()
     doc["p0_search"] = search_meta
     _emit(dumps(doc), args)
@@ -282,10 +278,7 @@ def cmd_mr_check(args) -> int:
 def cmd_gen_times(args) -> int:
     cfg = _load_config(args.config)
     schedule = _config_schedule(cfg, args.seed)
-    report = validate(schedule)
-    if not report.passed:
-        worst = report.failures()[0]
-        raise InputError(f"generated schedule invalid ({worst.name}): {worst.detail}")
+    require_valid(schedule)
     _emit(dumps(schedule_to_doc(schedule)), args)
     _say(args, f"{len(schedule)} instants on [{schedule.taus[0]:.6g}, {schedule.taus[-1]:.6g}]")
     return 0

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .linalg import as_square_matrix, expm
+from .linalg import as_pair, expm
+from .schedules import check_window
 
 TERM_CAP = 200
 _QUIET_NEEDED = 3
@@ -37,14 +39,6 @@ __all__ = [
     "lift_bound",
     "convergence_margin",
 ]
-
-
-def _pair(A, B) -> tuple[np.ndarray, np.ndarray]:
-    A = as_square_matrix(A, "A")
-    B = as_square_matrix(B, "B")
-    if A.shape != B.shape:
-        raise InputError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
-    return A, B
 
 
 def _check_rel_tol(rel_tol: float) -> None:
@@ -80,68 +74,71 @@ class SeriesTerm:
     contribution: float
 
 
-def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
-    """Compute {B, A^m} for m = 0..m_max by the defining recurrence."""
-    A, B = _pair(A, B)
-    if m_max < 0:
-        raise InputError("m_max must be >= 0")
-    terms = [B]
-    for _ in range(int(m_max)):
-        prev = terms[-1]
-        terms.append(prev @ A - A @ prev)
-    return CommutatorSequence(
-        A=A, B=B, terms=tuple(terms), norms=tuple(_norm2(T) for T in terms)
-    )
-
-
-def _weighted_commutators(A, B, s: float, start: int):
-    """Yield (m, s^m/m! * {B, A^m}) for m = start..TERM_CAP."""
+def _commutators(A: np.ndarray, B: np.ndarray):
+    """Yield {B, A^0}, {B, A^1}, ... by the defining recurrence."""
     term = B
-    coeff = 1.0
-    for m in range(TERM_CAP + 1):
-        if m >= start:
-            yield m, coeff * term
+    while True:
+        yield term
         term = term @ A - A @ term
+
+
+def _weighted(A: np.ndarray, B: np.ndarray, s: float, start: int = 0):
+    """Yield (m, s^m/m!, {B, A^m}) for m = start..TERM_CAP."""
+    coeff = 1.0
+    for m, term in zip(range(TERM_CAP + 1), _commutators(A, B)):
+        if m >= start:
+            yield m, coeff, term
         coeff *= s / (m + 1)
 
 
-def _truncated_sum(stream, rel_tol: float, label: str) -> np.ndarray:
-    """Sum matrix terms until _QUIET_NEEDED consecutive ones are negligible
-    relative to the running partial sum."""
+def _truncated_sum(terms, rel_tol: float, label: str):
+    """Sum scalar or matrix terms until _QUIET_NEEDED consecutive ones are at
+    most rel_tol times the running sum (matrices compared by 2-norm).
+
+    Returns the sum and the number of terms used.
+    """
     total = None
+    magnitude = float("inf")
     quiet = 0
-    last_mag = float("inf")
-    for _m, value in stream:
-        mag = _norm2(value)
-        if not np.isfinite(mag):
+    for used, value in enumerate(terms, 1):
+        size = _norm2 if isinstance(value, np.ndarray) else abs
+        magnitude = size(value)
+        if not np.isfinite(magnitude):
             raise ConvergenceError(f"{label}: series term overflowed")
-        total = value.copy() if total is None else total + value
-        last_mag = mag
-        if mag <= rel_tol * _norm2(total):
+        total = value if total is None else total + value
+        if magnitude <= rel_tol * size(total):
             quiet += 1
             if quiet >= _QUIET_NEEDED:
-                return total
+                return total, used
         else:
             quiet = 0
     raise ConvergenceError(
         f"{label}: no convergence within {TERM_CAP} terms "
-        f"(last term magnitude {last_mag:.3e})"
+        f"(last term magnitude {magnitude:.3e})"
     )
+
+
+def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
+    """Compute {B, A^m} for m = 0..m_max by the defining recurrence."""
+    A, B = as_pair(A, B)
+    if m_max < 0:
+        raise InputError("m_max must be >= 0")
+    terms = tuple(islice(_commutators(A, B), int(m_max) + 1))
+    return CommutatorSequence(A=A, B=B, terms=terms, norms=tuple(_norm2(T) for T in terms))
 
 
 def commutator_series(
     A, B, s: float, rel_tol: float = 1e-12, start: int = 0
 ) -> np.ndarray:
     """Truncated sum of s^m/m! * {B, A^m} over m >= start."""
-    A, B = _pair(A, B)
+    A, B = as_pair(A, B)
     if not np.isfinite(s):
         raise InputError("series argument must be finite")
     if start not in (0, 1):
         raise InputError("start must be 0 or 1")
     _check_rel_tol(rel_tol)
-    return _truncated_sum(
-        _weighted_commutators(A, B, float(s), start), rel_tol, "commutator series"
-    )
+    terms = (coeff * T for _m, coeff, T in _weighted(A, B, float(s), start))
+    return _truncated_sum(terms, rel_tol, "commutator series")[0]
 
 
 def hadamard_series(A, B, t: float, rel_tol: float = 1e-12) -> np.ndarray:
@@ -158,35 +155,20 @@ def correction_terms(A, B, chi_max: float, rel_tol: float = 1e-12) -> list[Serie
     dwell deviations differ by at most 2 chi_max, so the total bounds the
     norm of every admissible comparison-jump correction.
     """
-    A, B = _pair(A, B)
+    A, B = as_pair(A, B)
     if not np.isfinite(chi_max) or chi_max < 0.0:
         raise InputError("chi_max must be finite and >= 0")
     _check_rel_tol(rel_tol)
-    s = 2.0 * float(chi_max)
     rows: list[SeriesTerm] = []
-    term = B
-    coeff = 1.0
-    total = 0.0
-    quiet = 0
-    for m in range(TERM_CAP + 1):
-        if m >= 1:
-            nrm = _norm2(term)
-            if not np.isfinite(nrm):
-                raise ConvergenceError("correction bound: commutator norm overflowed")
-            contribution = coeff * nrm
-            rows.append(SeriesTerm(m=m, commutator_norm=nrm, contribution=contribution))
-            total += contribution
-            if contribution <= rel_tol * total:
-                quiet += 1
-                if quiet >= _QUIET_NEEDED:
-                    return rows
-            else:
-                quiet = 0
-        term = term @ A - A @ term
-        coeff *= s / (m + 1)
-    raise ConvergenceError(
-        f"correction bound: no convergence within {TERM_CAP} terms"
-    )
+
+    def contributions():
+        for m, coeff, T in _weighted(A, B, 2.0 * float(chi_max), start=1):
+            nrm = _norm2(T)
+            rows.append(SeriesTerm(m=m, commutator_norm=nrm, contribution=coeff * nrm))
+            yield rows[-1].contribution
+
+    _truncated_sum(contributions(), rel_tol, "correction bound")
+    return rows
 
 
 def correction_bound(A, B, chi_max: float, rel_tol: float = 1e-12) -> float:
@@ -199,31 +181,12 @@ def lift_bound(A, B, theta: float, chi_max: float, rel_tol: float = 1e-12) -> fl
 
     Sums (2 chi_max)^m/m! * ||{B, A^m} e^((theta - chi_max) A)|| from m = 0.
     """
-    A, B = _pair(A, B)
-    if not (0.0 <= chi_max < theta):
-        raise InputError("need 0 <= chi_max < theta")
+    A, B = as_pair(A, B)
+    check_window(theta, chi_max)
     _check_rel_tol(rel_tol)
     E = expm(A, theta - chi_max)
-    s = 2.0 * float(chi_max)
-    term = B
-    coeff = 1.0
-    total = 0.0
-    quiet = 0
-    for m in range(TERM_CAP + 1):
-        w = _norm2(term @ E)
-        if not np.isfinite(w):
-            raise ConvergenceError("lift bound: series term overflowed")
-        contribution = coeff * w
-        total += contribution
-        if contribution <= rel_tol * total:
-            quiet += 1
-            if quiet >= _QUIET_NEEDED:
-                return float(total)
-        else:
-            quiet = 0
-        term = term @ A - A @ term
-        coeff *= s / (m + 1)
-    raise ConvergenceError(f"lift bound: no convergence within {TERM_CAP} terms")
+    terms = (coeff * _norm2(T @ E) for _m, coeff, T in _weighted(A, B, 2.0 * float(chi_max)))
+    return float(_truncated_sum(terms, rel_tol, "lift bound")[0])
 
 
 def convergence_margin(
@@ -236,9 +199,8 @@ def convergence_margin(
     indicate the lifted construction converges; for matrices the probe
     tends to zero as it deepens.
     """
-    A, B = _pair(A, B)
-    if not (0.0 <= chi_max < theta):
-        raise InputError("need 0 <= chi_max < theta")
+    A, B = as_pair(A, B)
+    check_window(theta, chi_max)
     if m_probe < 2:
         raise InputError("m_probe must be >= 2")
     if chi_max == 0.0:
@@ -246,14 +208,13 @@ def convergence_margin(
     E = expm(A, theta - chi_max)
     lo = max(1, m_probe // 2)
     best = 0.0
-    term = B
-    for m in range(1, int(m_probe) + 1):
-        term = term @ A - A @ term
-        w = _norm2(term @ E)
+    for m, T in enumerate(islice(_commutators(A, B), int(m_probe) + 1)):
+        if m < lo:
+            continue
+        w = _norm2(T @ E)
         if not np.isfinite(w):
             raise ConvergenceError(
                 f"norm overflow at commutator order {m}; use a smaller m_probe"
             )
-        if m >= lo:
-            best = max(best, w ** (1.0 / m) / m)
+        best = max(best, w ** (1.0 / m) / m)
     return 2.0 * math.e * float(chi_max) * best

@@ -16,7 +16,9 @@ SYMMETRY_RTOL = 1e-12
 
 __all__ = [
     "as_square_matrix",
+    "as_pair",
     "as_vector",
+    "check_positive",
     "check_spd",
     "expm",
     "is_hurwitz",
@@ -35,6 +37,22 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise InputError(f"{name} has non-finite entries")
     return out
+
+
+def as_pair(A, B) -> tuple[np.ndarray, np.ndarray]:
+    """Coerce a flow generator A and jump operator B of matching dimension."""
+    A = as_square_matrix(A, "A")
+    B = as_square_matrix(B, "B")
+    if A.shape != B.shape:
+        raise InputError(f"A and B must share a dimension, got {A.shape} and {B.shape}")
+    return A, B
+
+
+def check_positive(**values: float) -> None:
+    """Reject any named scalar that is not finite and > 0."""
+    for name, v in values.items():
+        if not (np.isfinite(v) and v > 0.0):
+            raise InputError(f"{name} must be finite and > 0")
 
 
 def as_vector(x, n: int, name: str = "x0") -> np.ndarray:
@@ -67,16 +85,19 @@ def spectral_norm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
+def _symmetric_min_eigenvalue(S: np.ndarray, name: str) -> float:
+    scale = float(np.max(np.abs(S)))
+    if float(np.max(np.abs(S - S.T))) > SYMMETRY_RTOL * scale:
+        raise InputError(f"{name} is not symmetric within tolerance")
+    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+
+
 def min_eigenvalue_sym(S) -> float:
     """Smallest eigenvalue of the symmetrized (S + S^T)/2.
 
     S must be symmetric up to SYMMETRY_RTOL relative to its largest entry.
     """
-    S = as_square_matrix(S, "S")
-    scale = float(np.max(np.abs(S)))
-    if float(np.max(np.abs(S - S.T))) > SYMMETRY_RTOL * scale:
-        raise InputError("matrix is not symmetric within tolerance")
-    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+    return _symmetric_min_eigenvalue(as_square_matrix(S, "S"), "matrix")
 
 
 def is_hurwitz(M) -> bool:
@@ -93,9 +114,6 @@ def is_schur(M) -> bool:
 def check_spd(P, name: str = "P0") -> np.ndarray:
     """Validate a symmetric positive definite matrix and return it."""
     P = as_square_matrix(P, name)
-    scale = float(np.max(np.abs(P)))
-    if float(np.max(np.abs(P - P.T))) > SYMMETRY_RTOL * scale:
-        raise InputError(f"{name} is not symmetric within tolerance")
-    if float(np.linalg.eigvalsh(0.5 * (P + P.T))[0]) <= 0.0:
+    if _symmetric_min_eigenvalue(P, name) <= 0.0:
         raise InputError(f"{name} is not positive definite")
     return P

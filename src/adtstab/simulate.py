@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .linalg import as_square_matrix, as_vector, expm
-from .schedules import ADT, ImpulseSchedule, schedule_to_doc, validate
+from .linalg import as_vector, check_positive, expm
+from .schedules import ADT, ImpulseSchedule, require_valid, schedule_to_doc
 from .serialize import fmt
 from .systems import ImpulsiveSystem, comparison_jump, lifted_initial
 
@@ -65,39 +65,23 @@ class Trajectory:
 
 
 @dataclass(frozen=True)
-class ParabolicModel:
+class ParabolicModel(ImpulsiveSystem):
     """Diffusion-coupled linear dynamics on (0, ell) with Dirichlet ends.
 
     Sine mode j evolves with generator A - mu^2 (j pi / ell)^2 id and all
     modes share the jump operator B, so the modal picture decouples.
     """
 
-    A: np.ndarray
-    B: np.ndarray
     mu: float
     ell: float
     n_modes: int
 
     def __post_init__(self):
-        A = as_square_matrix(self.A, "A")
-        B = as_square_matrix(self.B, "B")
-        if A.shape != B.shape:
-            raise InputError(
-                f"A and B must share a dimension, got {A.shape} and {B.shape}"
-            )
-        if not (np.isfinite(self.mu) and self.mu > 0.0):
-            raise InputError("mu must be finite and > 0")
-        if not (np.isfinite(self.ell) and self.ell > 0.0):
-            raise InputError("ell must be finite and > 0")
+        super().__post_init__()
+        check_positive(mu=self.mu, ell=self.ell)
         if int(self.n_modes) < 1:
             raise InputError("n_modes must be >= 1")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "B", B)
         object.__setattr__(self, "n_modes", int(self.n_modes))
-
-    @property
-    def n(self) -> int:
-        return self.A.shape[0]
 
     def decay_rate(self, j: int) -> float:
         """Diffusive shift mu^2 (j pi / ell)^2 of mode j."""
@@ -178,11 +162,14 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, evolve, jump, norm_of):
     )
 
 
-def _require_valid(schedule: ImpulseSchedule) -> None:
-    report = validate(schedule)
-    if not report.passed:
-        worst = report.failures()[0]
-        raise InputError(f"invalid schedule ({worst.name}): {worst.detail}")
+def _jump_times(schedule: ImpulseSchedule, t_end: float, sample_dt: float) -> list[float]:
+    """Validate a sampled run from tau_0 to t_end; return its impulse instants."""
+    require_valid(schedule)
+    if not (np.isfinite(t_end) and t_end > schedule.tau0):
+        raise InputError("t_end must exceed tau0")
+    if not (np.isfinite(sample_dt) and sample_dt > 0.0):
+        raise InputError("sample_dt must be > 0")
+    return [float(t) for t in schedule.taus[1:] if t <= t_end]
 
 
 def simulate_ode(
@@ -193,14 +180,8 @@ def simulate_ode(
     sample_dt: float,
 ) -> Trajectory:
     """Simulate the impulsive flow from tau_0 with exact segment propagation."""
-    _require_valid(schedule)
-    if not (np.isfinite(t_end) and t_end > schedule.tau0):
-        raise InputError("t_end must exceed tau0")
-    if not (np.isfinite(sample_dt) and sample_dt > 0.0):
-        raise InputError("sample_dt must be > 0")
+    jump_times = _jump_times(schedule, t_end, sample_dt)
     x0 = as_vector(x0, system.n)
-    taus = schedule.taus
-    jump_times = [float(t) for t in taus[1:] if t <= t_end]
     A, B = system.A, system.B
     times, states, norms, jump_rows = _run_events(
         x0,
@@ -234,7 +215,7 @@ def simulate_comparison(
     The jump at k*theta uses the upcoming deviation chi_{k+1}, so the
     schedule must carry deviations up to index K + 1.
     """
-    _require_valid(schedule)
+    require_valid(schedule)
     if K < 1:
         raise InputError("K must be >= 1")
     if len(schedule) < K + 2:
@@ -348,11 +329,7 @@ def simulate_parabolic(
     of length dt maps mode j through exp(-rate_j dt) * e^(A dt); the modes
     never couple and the jump applies B to every coefficient vector.
     """
-    _require_valid(schedule)
-    if not (np.isfinite(t_end) and t_end > schedule.tau0):
-        raise InputError("t_end must exceed tau0")
-    if not (np.isfinite(sample_dt) and sample_dt > 0.0):
-        raise InputError("sample_dt must be > 0")
+    jump_times = _jump_times(schedule, t_end, sample_dt)
     C0 = np.asarray(init_modes, dtype=float)
     if C0.ndim != 2 or C0.shape != (model.n_modes, model.n):
         raise InputError(
@@ -363,8 +340,6 @@ def simulate_parabolic(
 
     rates = np.array([model.decay_rate(j) for j in range(1, model.n_modes + 1)])
     A, B = model.A, model.B
-    taus = schedule.taus
-    jump_times = [float(t) for t in taus[1:] if t <= t_end]
 
     def evolve(C, dt):
         return np.exp(-rates * dt)[:, None] * (C @ expm(A, dt).T)

@@ -14,8 +14,8 @@ import numpy as np
 
 from .commutators import commutator_series
 from .errors import InputError
-from .linalg import as_square_matrix, as_vector, expm
-from .schedules import ADT, VARIANTS
+from .linalg import as_pair, as_vector, expm
+from .schedules import ADT, VARIANTS, check_window
 
 __all__ = [
     "ImpulsiveSystem",
@@ -33,12 +33,7 @@ class ImpulsiveSystem:
     B: np.ndarray
 
     def __post_init__(self):
-        A = as_square_matrix(self.A, "A")
-        B = as_square_matrix(self.B, "B")
-        if A.shape != B.shape:
-            raise InputError(
-                f"A and B must share a dimension, got {A.shape} and {B.shape}"
-            )
+        A, B = as_pair(self.A, self.B)
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
@@ -101,8 +96,7 @@ def lifted_initial(
     the "adt_plus" form replaces the series argument by chi_1 and the flow
     time by theta.
     """
-    if not np.isfinite(theta) or not 0.0 <= chi_max < theta:
-        raise InputError("need 0 <= chi_max < theta")
+    check_window(theta, chi_max)
     x0 = as_vector(x0, system.n)
     s = _deviation_span(chi_1, chi_max, variant)
     flow = theta - chi_max if variant == ADT else theta

@@ -1,10 +1,12 @@
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import adtstab as st
+from adtstab import commutators, linalg
 from adtstab.cli import main
 
 
@@ -204,6 +206,50 @@ def test_gen_times_inline_schedule_passthrough(ref_config_path, tmp_path):
     assert main(["gen-times", "--config", str(cfg), "--output", str(out), "--quiet"]) == 0
     doc = json.loads(out.read_text())
     assert doc["chis"] == inline["chis"]
+
+
+def test_gen_times_rejects_non_finite_deviation(ref_config_path, tmp_path, capsys):
+    cfg = _patched_config(ref_config_path, tmp_path, {"schedule.chis": [0.0, float("nan")]})
+    assert "NaN" in cfg.read_text()
+    out = tmp_path / "sched.json"
+    assert main(["gen-times", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "deviation_bound" in capsys.readouterr().err
+
+
+def _record_calls(monkeypatch, func, calls: list) -> None:
+    """Route every adtstab binding of func through a wrapper logging its arguments."""
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, kwargs))
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "adtstab" or name.startswith("adtstab."):
+            for attr, value in list(vars(module).items()):
+                if value is func:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
+@pytest.mark.parametrize("jitter, code", [(None, 0), (0.45, 1)], ids=["reference", "negative"])
+def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, monkeypatch, jitter, code):
+    base = json.loads(ref_config_path.read_text(encoding="utf-8"))
+    theta = base["schedule"]["theta"]
+    A = np.reshape(base["system"]["A"], (2, 2))
+    patches = None if jitter is None else {"schedule.chi_max": jitter * theta}
+    cfg = _patched_config(ref_config_path, tmp_path, patches)
+    bounds, flows = [], []
+    _record_calls(monkeypatch, commutators.correction_bound, bounds)
+    _record_calls(monkeypatch, linalg.expm, flows)
+    out = tmp_path / "report.json"
+    assert main(["certify", "--config", str(cfg), "--output", str(out), "--quiet"]) == code
+    period_flows = [
+        args for args, kwargs in flows
+        if (args[1] if len(args) > 1 else kwargs.get("t", 1.0)) == theta
+        and np.array_equal(args[0], A)
+    ]
+    assert len(bounds) == 1
+    assert len(period_flows) == 1
 
 
 def test_omega_table(ref_config_path, tmp_path):

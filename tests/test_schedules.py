@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 import adtstab as st
 import adtstab.schedules as schedules_mod
@@ -104,11 +107,50 @@ def test_validate_flags_decrease():
 
 
 def test_validate_flags_gap():
+    # an over-long gap needs a deviation outside its window, so the
+    # deviation check alone names it
     s = st.ImpulseSchedule(0.0, 1.0, 0.1, st.ADT, (0.0, -0.3, 0.4))
     report = st.validate_schedule(s)
-    names = {c.name for c in report.failures()}
-    assert "dwell_gap" in names
-    assert "deviation_bound" in names
+    failing = {c.name: c for c in report.failures()}
+    assert set(failing) == {"deviation_bound"}
+    assert failing["deviation_bound"].worst_index == 2
+
+
+def test_validate_rejects_non_finite_deviation(ref_system):
+    doc = '{"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "chis": [0.0, NaN, 0.05]}'
+    for s in (
+        st.ImpulseSchedule(0.0, 1.0, 0.1, st.ADT, (0.0, float("nan"), 0.05)),
+        st.schedule_from_doc(json.loads(doc)),
+    ):
+        report = st.validate_schedule(s)
+        failing = {c.name: c for c in report.failures()}
+        assert set(failing) == {"deviation_bound"}
+        assert failing["deviation_bound"].worst_index == 1
+        assert "chi_1 = nan" in failing["deviation_bound"].detail
+        with pytest.raises(st.InputError):
+            st.simulate_ode(ref_system, s, [1.0, 0.0], t_end=2.5, sample_dt=0.5)
+
+
+@hs.composite
+def _schedules(draw):
+    chi_max = draw(hs.floats(0.0, 0.9))
+    variant = draw(hs.sampled_from([st.ADT, st.ADT_PLUS]))
+    special = hs.sampled_from([0.0, chi_max, -chi_max, math.nan, math.inf, -math.inf])
+    chis = draw(hs.lists(hs.one_of(hs.floats(-1.5, 1.5), special), min_size=1, max_size=8))
+    return st.ImpulseSchedule(draw(hs.floats(-5.0, 5.0)), 1.0, chi_max, variant, tuple(chis))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_schedules())
+def test_validate_matches_definition(s):
+    lo = -s.chi_max if s.variant == st.ADT else 0.0
+    taus = [s.tau0 + k * s.theta + c for k, c in enumerate(s.chis)]
+    admissible = (
+        s.chis[0] == 0.0
+        and all(math.isfinite(c) and lo <= c <= s.chi_max for c in s.chis)
+        and all(b > a for a, b in zip(taus, taus[1:]))
+    )
+    assert st.validate_schedule(s).passed == admissible
 
 
 def test_validate_flags_nonzero_initial_deviation():
