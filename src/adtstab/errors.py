@@ -6,7 +6,8 @@ class InputError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """A truncated operator series failed to settle within its term cap."""
+    """A truncated operator series failed to settle within its term cap, or a
+    series term or matrix exponential overflowed."""
 
 
 class GenerationError(RuntimeError):

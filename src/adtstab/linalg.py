@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import expm as _scipy_expm
 
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 
 SYMMETRY_RTOL = 1e-12
 
@@ -29,10 +29,14 @@ __all__ = [
 ]
 
 
-def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a float64 n-by-n array, rejecting non-finite entries."""
+def as_square_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to a float64 n-by-n array, rejecting non-finite entries.
+
+    With stack true a (k, n, n) stack of such matrices is accepted as well.
+    """
     out = np.asarray(M, dtype=float)
-    if out.ndim != 2 or out.shape[0] != out.shape[1] or out.shape[0] < 1:
+    ndims = (2, 3) if stack else (2,)
+    if out.ndim not in ndims or out.shape[-1] != out.shape[-2] or out.shape[-1] < 1:
         raise InputError(f"{name} must be square with n >= 1, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise InputError(f"{name} has non-finite entries")
@@ -66,11 +70,23 @@ def as_vector(x, n: int, name: str = "x0") -> np.ndarray:
 
 
 def expm(M, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^(tM)."""
-    M = as_square_matrix(M)
+    """Matrix exponential e^(tM); for a (k, n, n) stack M, the stack of them.
+
+    One stacked call returns the same bits as k separate ones.  A result
+    that overflows raises ConvergenceError instead of returning inf or NaN.
+    """
+    M = as_square_matrix(M, stack=True)
     if not np.isfinite(t):
         raise InputError("t must be finite")
-    return _scipy_expm(t * M)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _scipy_expm(t * M)
+    if not np.all(np.isfinite(out)):
+        where = ""
+        if out.ndim == 3:
+            bad = np.flatnonzero(~np.all(np.isfinite(out), axis=(1, 2)))
+            where = f" for stack entries {bad[0]}..{bad[-1]} of {len(out)}"
+        raise ConvergenceError(f"matrix exponential overflowed at t = {t:g}{where}")
+    return out
 
 
 def spectral_radius(M) -> float:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 import adtstab as st
 from adtstab.certify import NORM_CONVENTION
@@ -99,6 +100,29 @@ def test_reference_certificate_frozen(ref):
     assert rep.lift_amplification == pytest.approx(0.8957625708922304, rel=1e-10)
     assert rep.convergence_proxy == pytest.approx(0.10556075063766152, rel=1e-8)
     assert rep.convergence_proxy < 1.0
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_semigroup_sup_equals_per_point_scipy_loop(ref, n):
+    # oracle: the documented grid, one scipy expm and one 2-norm per point
+    if n == 2:
+        A, B, theta, chi_max = ref.A, ref.B, ref.theta, ref.chi_max
+    else:
+        rng = np.random.default_rng(n)
+        A, B = rng.uniform(-1.0, 1.0, (2, n, n))
+        theta, chi_max = 0.8, 0.3
+    rep = st.evaluate_certificate(A, B, theta, chi_max, ref.mu, ref.ell)
+    shifted = A - (np.pi * ref.mu / ref.ell) ** 2 * np.eye(n)
+    grid = np.linspace(0.0, theta + 2.0 * chi_max, 1000)
+    oracle = max(np.linalg.norm(scipy.linalg.expm(t * shifted), 2) for t in grid)
+    assert rep.semigroup_sup == oracle
+
+
+def test_semigroup_overflow_raises_convergence_error():
+    # e^(300 t) overflows float64 for t > ~2.37, inside [0, theta + 2 chi_max]
+    A, B = np.diag([300.0, -3.0]), np.diag([1e-300, 1.0])
+    with pytest.raises(st.ConvergenceError, match="matrix exponential overflowed"):
+        st.evaluate_certificate(A, B, 1.0, 0.99, 1.0, np.pi)
 
 
 def test_report_document_layout(ref):

@@ -70,6 +70,18 @@ def test_certify_invalid_jitter_exit2(ref_config_path, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_certify_semigroup_overflow_exit2(ref_config_path, tmp_path, capsys):
+    cfg = _patched_config(ref_config_path, tmp_path, {
+        "system.A": [300.0, 0.0, 0.0, -3.0],
+        "system.B": [1e-300, 0.0, 0.0, 1.0],
+        "schedule.chi_max": 0.99,
+    })
+    out = tmp_path / "report.json"
+    assert main(["certify", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert "error: matrix exponential overflowed" in capsys.readouterr().err
+
+
 def test_certify_needs_pde_section(ref_config_path, tmp_path):
     cfg = _patched_config(ref_config_path, tmp_path, drop=("pde",))
     assert main(["certify", "--config", str(cfg)]) == 2

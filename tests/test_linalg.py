@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from adtstab import InputError
+from adtstab import ConvergenceError, InputError
 from adtstab.linalg import (
     check_spd,
     expm,
@@ -60,6 +61,43 @@ def test_expm_semigroup_property():
         right = expm(M, s + t)
         gap = np.linalg.norm(left - right, 2)
         assert gap <= 1e-10 * (1 + np.linalg.norm(right, 2))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_expm_stack_equals_per_matrix_scipy(n):
+    # one stacked call must return the bits of separate scipy calls, also
+    # for t = 0 and for the diagonal and triangular slices scipy special-cases
+    rng = np.random.default_rng(n)
+    M = rng.uniform(-2.0, 2.0, (n, n))
+    ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 12))])
+    stack = np.concatenate(
+        [ts[:, None, None] * M, [np.diag(np.diag(M)), np.triu(M), np.tril(M)]]
+    )
+    out = expm(stack)
+    assert out.shape == (len(stack), n, n)
+    assert np.array_equal(out, [scipy.linalg.expm(S) for S in stack])
+    assert np.array_equal(expm(stack, 0.5), [scipy.linalg.expm(0.5 * S) for S in stack])
+
+
+def test_expm_overflow_raises_convergence_error():
+    A = np.diag([300.0, -3.0])
+    assert np.isfinite(expm(A, 1.0)).all()
+    with pytest.raises(ConvergenceError, match=r"overflowed at t = 3$"):
+        expm(A, 3.0)
+    grid = np.linspace(0.0, 3.0, 10)
+    with pytest.raises(ConvergenceError, match=r"stack entries 8\.\.9 of 10"):
+        expm(grid[:, None, None] * A)
+
+
+def test_expm_stack_shape_checks():
+    with pytest.raises(InputError):
+        expm(np.zeros((3, 2, 3)))
+    with pytest.raises(InputError):
+        expm(np.zeros((2, 2, 2, 2)))
+    with pytest.raises(InputError):
+        expm(np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
+    with pytest.raises(InputError):
+        spectral_norm(np.zeros((3, 2, 2)))
 
 
 def test_spectral_radius_jordan_block():

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 import adtstab as st
 from adtstab.linalg import expm
@@ -245,3 +248,79 @@ def test_parabolic_csv_layout_and_mode_export(ref_model):
     )
     with pytest.raises(st.InputError):
         st.mode_csv(ode_traj, 1)
+
+
+def _scipy_events(sched, t_end, dt):
+    """Impulse and sample instants of a run from tau0 = 0 with t_end on the grid."""
+    jumps = [float(t) for t in sched.taus[1:] if t <= t_end]
+    samples = [dt * k for k in range(1, round(t_end / dt) + 1)]
+    return sorted([(t, True) for t in jumps] + [(t, False) for t in samples if t not in jumps])
+
+
+def _scipy_run(x0, events, flow, jump):
+    """Rows (t, state, is_post_jump), each sample propagated by its own scipy expm."""
+    rows = [(0.0, x0, 0)]
+    seg_t, seg_x = 0.0, x0
+    for t, is_jump in events:
+        pre = flow(seg_x, t - seg_t)
+        rows.append((t, pre, 0))
+        if is_jump:
+            seg_t, seg_x = t, jump(pre)
+            rows.append((t, seg_x, 1))
+    return rows
+
+
+# a jittered schedule, and one whose single segment exceeds one expm stack
+_ORACLE_RUNS = [
+    (lambda: st.generate_schedule(0.0, 1.0, 0.3, 12, st.ADT, seed=5), 9.0, 0.25),
+    (lambda: st.generate_schedule(0.0, 1.0, 0.3, 12, st.ADT_PLUS, seed=6), 9.0, 0.125),
+    (lambda: st.ImpulseSchedule(0.0, 1.0, 0.0, st.ADT, (0.0,)), 3.0, 2.0**-7),
+]
+_ORACLE_IDS = ["adt", "adt_plus", "no_jumps"]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("make_schedule, t_end, dt", _ORACLE_RUNS, ids=_ORACLE_IDS)
+def test_ode_csv_equals_per_sample_scipy_propagation(n, make_schedule, t_end, dt):
+    sched = make_schedule()
+    rng = np.random.default_rng(n)
+    A, B = rng.uniform(-1.0, 1.0, (2, n, n))
+    x0 = rng.standard_normal(n)
+    rows = _scipy_run(
+        x0,
+        _scipy_events(sched, t_end, dt),
+        flow=lambda x, s: scipy.linalg.expm(s * A) @ x,
+        jump=lambda x: B @ x,
+    )
+    header = "t,norm,is_post_jump," + ",".join(f"state_{i}" for i in range(n))
+    oracle = "\n".join(
+        [header]
+        + [
+            ",".join([format(t, ".17g"), format(np.linalg.norm(x), ".17g"), str(post)]
+                     + [format(v, ".17g") for v in x])
+            for t, x, post in rows
+        ]
+    ) + "\n"
+    traj = st.simulate_ode(st.ImpulsiveSystem(A=A, B=B), sched, x0, t_end, dt)
+    assert st.trajectory_to_csv(traj) == oracle
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("make_schedule, t_end, dt", _ORACLE_RUNS, ids=_ORACLE_IDS)
+def test_parabolic_states_equal_per_sample_scipy_propagation(n, make_schedule, t_end, dt):
+    sched = make_schedule()
+    rng = np.random.default_rng(10 + n)
+    A, B = rng.uniform(-1.0, 1.0, (2, n, n))
+    mu, ell, n_modes = 0.7, 2.5, 6
+    C0 = rng.standard_normal((n_modes, n))
+    rates = np.array([(mu * j * math.pi / ell) ** 2 for j in range(1, n_modes + 1)])
+    rows = _scipy_run(
+        C0,
+        _scipy_events(sched, t_end, dt),
+        flow=lambda C, s: np.exp(-rates * s)[:, None] * (C @ scipy.linalg.expm(s * A).T),
+        jump=lambda C: C @ B.T,
+    )
+    model = st.ParabolicModel(A=A, B=B, mu=mu, ell=ell, n_modes=n_modes)
+    traj = st.simulate_parabolic(model, sched, C0, t_end, dt)
+    assert traj.times.tobytes() == np.array([t for t, _, _ in rows]).tobytes()
+    assert traj.states.tobytes() == np.array([C for _, C, _ in rows]).tobytes()
