@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutators import convergence_margin, correction_bound, lift_bound
+from .commutators import PROBE_DEPTH, REL_TOL, convergence_margin, correction_bound, lift_bound
 from .errors import InputError
 from .linalg import (
     as_pair,
@@ -112,7 +112,6 @@ class CertificateProblem:
     chi_max: float
     mu: float
     ell: float
-    rel_tol: float = 1e-12
     omega: float | None = None
     E: np.ndarray = field(init=False, repr=False)
     phi: np.ndarray = field(init=False, repr=False)
@@ -124,7 +123,7 @@ class CertificateProblem:
         check_positive(theta=self.theta, mu=self.mu, ell=self.ell)
         check_window(self.theta, self.chi_max)
         if self.omega is None:
-            omega = correction_bound(A, B, self.chi_max, self.rel_tol)
+            omega = correction_bound(A, B, self.chi_max)
         elif np.isfinite(self.omega) and self.omega >= 0.0:
             omega = self.omega
         else:
@@ -170,7 +169,7 @@ class CertificateProblem:
                 return cand
         return None
 
-    def evaluate(self, p0=None, m_probe: int = 40) -> CertificateReport:
+    def evaluate(self, p0=None) -> CertificateReport:
         """Certificate verdict and diagnostics for P0 (identity by default).
 
         certified is true iff the spectral radius of the monodromy stays
@@ -199,8 +198,8 @@ class CertificateProblem:
             shifted_a_hurwitz=is_hurwitz(shifted),
             b_schur=is_schur(B),
             semigroup_sup=float(semigroup_sup),
-            lift_amplification=lift_bound(A, B, theta, chi_max, self.rel_tol),
-            convergence_proxy=convergence_margin(A, B, theta, chi_max, m_probe),
+            lift_amplification=lift_bound(A, B, theta, chi_max),
+            convergence_proxy=convergence_margin(A, B, theta, chi_max),
             inputs={
                 "n": int(A.shape[0]),
                 "a": [float(v) for v in A.ravel()],
@@ -209,8 +208,8 @@ class CertificateProblem:
                 "chi_max": float(chi_max),
                 "mu": float(self.mu),
                 "ell": float(self.ell),
-                "rel_tol": float(self.rel_tol),
-                "m_probe": int(m_probe),
+                "rel_tol": REL_TOL,
+                "m_probe": PROBE_DEPTH,
             },
         )
 
@@ -231,11 +230,9 @@ def evaluate_certificate(
     mu: float,
     ell: float,
     p0=None,
-    rel_tol: float = 1e-12,
-    m_probe: int = 40,
 ) -> CertificateReport:
     """Evaluate the certificate at one parameter point (see CertificateProblem.evaluate)."""
-    return CertificateProblem(A, B, theta, chi_max, mu, ell, rel_tol).evaluate(p0, m_probe)
+    return CertificateProblem(A, B, theta, chi_max, mu, ell).evaluate(p0)
 
 
 def search_p0(
@@ -247,7 +244,6 @@ def search_p0(
     ell: float,
     budget: int = 32,
     seed: int = 0,
-    rel_tol: float = 1e-12,
 ) -> np.ndarray | None:
     """Seeded random search for a P0 (see CertificateProblem.search)."""
-    return CertificateProblem(A, B, theta, chi_max, mu, ell, rel_tol).search(budget, seed)
+    return CertificateProblem(A, B, theta, chi_max, mu, ell).search(budget, seed)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import CertificateProblem
-from .commutators import correction_terms, nested_commutators
+from .commutators import REL_TOL, correction_terms, nested_commutators
 from .errors import ConvergenceError, GenerationError, InputError
 from .schedules import ImpulseSchedule, generate, require_valid, schedule_from_doc, schedule_to_doc
 from .serialize import dumps, fmt
@@ -100,13 +100,17 @@ def _config_schedule(cfg: dict, seed_override: int | None) -> ImpulseSchedule:
     )
 
 
+def _floats(sec: dict, name: str, *keys: str) -> list[float]:
+    """Read the required keys of the config section called name as floats."""
+    try:
+        return [float(sec[key]) for key in keys]
+    except KeyError as exc:
+        raise InputError(f"{name} section missing {exc.args[0]!r}") from None
+
+
 def _config_model(cfg: dict, system: ImpulsiveSystem) -> ParabolicModel:
     sec = _section(cfg, "pde")
-    try:
-        mu = float(sec["mu"])
-        ell = float(sec["ell"])
-    except KeyError as exc:
-        raise InputError(f"pde section missing {exc.args[0]!r}") from None
+    mu, ell = _floats(sec, "pde", "mu", "ell")
     return ParabolicModel(
         A=system.A,
         B=system.B,
@@ -120,11 +124,21 @@ def _run(cfg: dict) -> dict:
     sec = cfg.get("run", {})
     if not isinstance(sec, dict):
         raise InputError("'run' section must be a JSON object")
+    if sec.get("rel_tol", REL_TOL) != REL_TOL:
+        raise InputError(f"run.rel_tol is fixed at {REL_TOL:g}, got {sec['rel_tol']!r}")
     return sec
 
 
 def _run_seed(run: dict, seed_override: int | None) -> int:
     return int(run.get("seed", 0)) if seed_override is None else seed_override
+
+
+def _config_x0(run: dict, n: int, seed: int) -> np.ndarray:
+    """run.x0, or a unit vector drawn from seed."""
+    if "x0" in run:
+        return np.asarray(run["x0"], dtype=float)
+    v = np.random.default_rng(seed).standard_normal(n)
+    return v / np.linalg.norm(v)
 
 
 def _emit(text: str, args) -> None:
@@ -142,19 +156,11 @@ def _say(args, message: str) -> None:
 def cmd_certify(args) -> int:
     cfg = _load_config(args.config)
     model = _config_model(cfg, _config_system(cfg))
-    schedule_sec = _section(cfg, "schedule")
-    try:
-        theta = float(schedule_sec["theta"])
-        chi_max = float(schedule_sec["chi_max"])
-    except KeyError as exc:
-        raise InputError(f"schedule section missing {exc.args[0]!r}") from None
+    theta, chi_max = _floats(_section(cfg, "schedule"), "schedule", "theta", "chi_max")
     run = _run(cfg)
-    rel_tol = float(run.get("rel_tol", 1e-12))
     seed = _run_seed(run, args.seed)
 
-    problem = CertificateProblem(
-        model.A, model.B, theta, chi_max, model.mu, model.ell, rel_tol
-    )
+    problem = CertificateProblem(model.A, model.B, theta, chi_max, model.mu, model.ell)
     search_meta = {"attempted": False, "found": False, "budget": 0}
     if "p0" in run:
         p0 = _matrix({"p0": run["p0"]}, "p0", model.n)
@@ -178,12 +184,6 @@ def cmd_certify(args) -> int:
     return 0 if report.certified else 1
 
 
-def _seeded_unit_vector(n: int, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
-
-
 def _seeded_unit_modes(model: ParabolicModel, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     C = rng.standard_normal((model.n_modes, model.n))
@@ -195,11 +195,7 @@ def cmd_simulate(args) -> int:
     system = _config_system(cfg)
     schedule = _config_schedule(cfg, args.seed)
     run = _run(cfg)
-    try:
-        t_end = float(run["t_end"])
-        sample_dt = float(run["sample_dt"])
-    except KeyError as exc:
-        raise InputError(f"run section missing {exc.args[0]!r}") from None
+    t_end, sample_dt = _floats(run, "run", "t_end", "sample_dt")
     seed = _run_seed(run, args.seed)
 
     if "pde" in cfg:
@@ -217,12 +213,7 @@ def cmd_simulate(args) -> int:
                     mode_csv(traj, j), encoding="utf-8"
                 )
     else:
-        x0 = (
-            np.asarray(run["x0"], dtype=float)
-            if "x0" in run
-            else _seeded_unit_vector(system.n, seed)
-        )
-        traj = simulate_ode(system, schedule, x0, t_end, sample_dt)
+        traj = simulate_ode(system, schedule, _config_x0(run, system.n, seed), t_end, sample_dt)
 
     _emit(trajectory_to_csv(traj), args)
     _say(
@@ -236,13 +227,9 @@ def cmd_simulate(args) -> int:
 def cmd_omega(args) -> int:
     cfg = _load_config(args.config)
     system = _config_system(cfg)
-    schedule_sec = _section(cfg, "schedule")
-    try:
-        chi_max = float(schedule_sec["chi_max"])
-    except KeyError:
-        raise InputError("schedule section missing 'chi_max'") from None
-    rel_tol = float(_run(cfg).get("rel_tol", 1e-12))
-    rows = correction_terms(system.A, system.B, chi_max, rel_tol)
+    (chi_max,) = _floats(_section(cfg, "schedule"), "schedule", "chi_max")
+    _run(cfg)  # rejects a malformed run section or another run.rel_tol
+    rows = correction_terms(system.A, system.B, chi_max)
     omega = sum(r.contribution for r in rows)
     lines = [f"omega = {fmt(omega)}", "m,commutator_norm,contribution"]
     lines += [f"{r.m},{fmt(r.commutator_norm)},{fmt(r.contribution)}" for r in rows]
@@ -257,14 +244,8 @@ def cmd_mr_check(args) -> int:
     schedule = _config_schedule(cfg, args.seed)
     run = _run(cfg)
     K = int(run.get("k", 20))
-    rel_tol = float(run.get("rel_tol", 1e-12))
-    seed = _run_seed(run, args.seed)
-    x0 = (
-        np.asarray(run["x0"], dtype=float)
-        if "x0" in run
-        else _seeded_unit_vector(system.n, seed)
-    )
-    residual = matching_residual(system, schedule, x0, K, rel_tol)
+    x0 = _config_x0(run, system.n, _run_seed(run, args.seed))
+    residual = matching_residual(system, schedule, x0, K)
     ok = residual <= MR_TOL
     _emit(
         f"matching residual over k = 2..{K}: {fmt(residual)} "
@@ -320,10 +301,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, GenerationError, ConvergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (InputError, GenerationError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -8,8 +8,9 @@ factorially convergent operator series,
 where {B, A^0} = B and {B, A^(m+1)} = {B, A^m} A - A {B, A^m}.  This module
 computes the commutator sequence, the truncated series, and the scalar
 bounds built from it.  All series share one stopping rule (three consecutive
-terms below rel_tol times the running sum, hard cap at TERM_CAP terms) so
-that quantities derived from the same data truncate consistently.
+terms below REL_TOL times the running sum, hard cap at TERM_CAP terms) so
+that quantities derived from the same data truncate consistently.  Overflow
+anywhere in a series raises ConvergenceError, without a RuntimeWarning.
 """
 
 from __future__ import annotations
@@ -25,10 +26,14 @@ from .linalg import as_pair, expm
 from .schedules import check_window
 
 TERM_CAP = 200
+REL_TOL = 1e-12
+PROBE_DEPTH = 40
 _QUIET_NEEDED = 3
 
 __all__ = [
     "TERM_CAP",
+    "REL_TOL",
+    "PROBE_DEPTH",
     "CommutatorSequence",
     "SeriesTerm",
     "nested_commutators",
@@ -39,11 +44,6 @@ __all__ = [
     "lift_bound",
     "convergence_margin",
 ]
-
-
-def _check_rel_tol(rel_tol: float) -> None:
-    if not 0.0 < rel_tol <= 1e-3:
-        raise InputError("rel_tol must lie in (0, 1e-3]")
 
 
 def _norm2(M: np.ndarray) -> float:
@@ -75,7 +75,11 @@ class SeriesTerm:
 
 
 def _commutators(A: np.ndarray, B: np.ndarray):
-    """Yield {B, A^0}, {B, A^1}, ... by the defining recurrence."""
+    """Yield {B, A^0}, {B, A^1}, ... by the defining recurrence.
+
+    Terms may overflow to inf or NaN; each consumer walks the series under
+    one np.errstate and checks the norms it reads.
+    """
     term = B
     while True:
         yield term
@@ -91,27 +95,28 @@ def _weighted(A: np.ndarray, B: np.ndarray, s: float, start: int = 0):
         coeff *= s / (m + 1)
 
 
-def _truncated_sum(terms, rel_tol: float, label: str):
+def _truncated_sum(terms, label: str):
     """Sum scalar or matrix terms until _QUIET_NEEDED consecutive ones are at
-    most rel_tol times the running sum (matrices compared by 2-norm).
+    most REL_TOL times the running sum (matrices compared by 2-norm).
 
     Returns the sum and the number of terms used.
     """
     total = None
     magnitude = float("inf")
     quiet = 0
-    for used, value in enumerate(terms, 1):
-        size = _norm2 if isinstance(value, np.ndarray) else abs
-        magnitude = size(value)
-        if not np.isfinite(magnitude):
-            raise ConvergenceError(f"{label}: series term overflowed")
-        total = value if total is None else total + value
-        if magnitude <= rel_tol * size(total):
-            quiet += 1
-            if quiet >= _QUIET_NEEDED:
-                return total, used
-        else:
-            quiet = 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for used, value in enumerate(terms, 1):
+            size = _norm2 if isinstance(value, np.ndarray) else abs
+            magnitude = size(value)
+            if not np.isfinite(magnitude):
+                raise ConvergenceError(f"{label}: series term overflowed")
+            total = value if total is None else total + value
+            if magnitude <= REL_TOL * size(total):
+                quiet += 1
+                if quiet >= _QUIET_NEEDED:
+                    return total, used
+            else:
+                quiet = 0
     raise ConvergenceError(
         f"{label}: no convergence within {TERM_CAP} terms "
         f"(last term magnitude {magnitude:.3e})"
@@ -123,32 +128,34 @@ def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
     A, B = as_pair(A, B)
     if m_max < 0:
         raise InputError("m_max must be >= 0")
-    terms = tuple(islice(_commutators(A, B), int(m_max) + 1))
-    return CommutatorSequence(A=A, B=B, terms=terms, norms=tuple(_norm2(T) for T in terms))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = tuple(islice(_commutators(A, B), int(m_max) + 1))
+        norms = tuple(_norm2(T) for T in terms)
+    for m, v in enumerate(norms):
+        if not np.isfinite(v):
+            raise ConvergenceError(f"commutator of order {m} overflowed")
+    return CommutatorSequence(A=A, B=B, terms=terms, norms=norms)
 
 
-def commutator_series(
-    A, B, s: float, rel_tol: float = 1e-12, start: int = 0
-) -> np.ndarray:
+def commutator_series(A, B, s: float, start: int = 0) -> np.ndarray:
     """Truncated sum of s^m/m! * {B, A^m} over m >= start."""
     A, B = as_pair(A, B)
     if not np.isfinite(s):
         raise InputError("series argument must be finite")
     if start not in (0, 1):
         raise InputError("start must be 0 or 1")
-    _check_rel_tol(rel_tol)
     terms = (coeff * T for _m, coeff, T in _weighted(A, B, float(s), start))
-    return _truncated_sum(terms, rel_tol, "commutator series")[0]
+    return _truncated_sum(terms, "commutator series")[0]
 
 
-def hadamard_series(A, B, t: float, rel_tol: float = 1e-12) -> np.ndarray:
+def hadamard_series(A, B, t: float) -> np.ndarray:
     """Truncated operator S(t) satisfying B e^(tA) = e^(tA) S(t)."""
     if not np.isfinite(t) or t < 0.0:
         raise InputError("t must be finite and >= 0")
-    return commutator_series(A, B, t, rel_tol, start=0)
+    return commutator_series(A, B, t, start=0)
 
 
-def correction_terms(A, B, chi_max: float, rel_tol: float = 1e-12) -> list[SeriesTerm]:
+def correction_terms(A, B, chi_max: float) -> list[SeriesTerm]:
     """Per-order pieces of the uniform jump-correction bound.
 
     Order m contributes (2 chi_max)^m/m! * ||{B, A^m}||.  Two consecutive
@@ -158,7 +165,6 @@ def correction_terms(A, B, chi_max: float, rel_tol: float = 1e-12) -> list[Serie
     A, B = as_pair(A, B)
     if not np.isfinite(chi_max) or chi_max < 0.0:
         raise InputError("chi_max must be finite and >= 0")
-    _check_rel_tol(rel_tol)
     rows: list[SeriesTerm] = []
 
     def contributions():
@@ -167,54 +173,47 @@ def correction_terms(A, B, chi_max: float, rel_tol: float = 1e-12) -> list[Serie
             rows.append(SeriesTerm(m=m, commutator_norm=nrm, contribution=coeff * nrm))
             yield rows[-1].contribution
 
-    _truncated_sum(contributions(), rel_tol, "correction bound")
+    _truncated_sum(contributions(), "correction bound")
     return rows
 
 
-def correction_bound(A, B, chi_max: float, rel_tol: float = 1e-12) -> float:
+def correction_bound(A, B, chi_max: float) -> float:
     """Uniform norm bound omega for the comparison-jump correction."""
-    return float(sum(t.contribution for t in correction_terms(A, B, chi_max, rel_tol)))
+    return float(sum(t.contribution for t in correction_terms(A, B, chi_max)))
 
 
-def lift_bound(A, B, theta: float, chi_max: float, rel_tol: float = 1e-12) -> float:
+def lift_bound(A, B, theta: float, chi_max: float) -> float:
     """Amplification bound mapping an initial state to its comparison lift.
 
     Sums (2 chi_max)^m/m! * ||{B, A^m} e^((theta - chi_max) A)|| from m = 0.
     """
     A, B = as_pair(A, B)
     check_window(theta, chi_max)
-    _check_rel_tol(rel_tol)
     E = expm(A, theta - chi_max)
     terms = (coeff * _norm2(T @ E) for _m, coeff, T in _weighted(A, B, 2.0 * float(chi_max)))
-    return float(_truncated_sum(terms, rel_tol, "lift bound")[0])
+    return float(_truncated_sum(terms, "lift bound")[0])
 
 
-def convergence_margin(
-    A, B, theta: float, chi_max: float, m_probe: int = 40
-) -> float:
+def convergence_margin(A, B, theta: float, chi_max: float) -> float:
     """Finite-depth proxy for the series convergence condition.
 
-    Evaluates 2 e chi_max * max over m in [m_probe/2, m_probe] of
+    Evaluates 2 e chi_max * max over m in [PROBE_DEPTH/2, PROBE_DEPTH] of
     ||{B, A^m} e^((theta - chi_max) A)||^(1/m) / m.  Values below one
     indicate the lifted construction converges; for matrices the probe
     tends to zero as it deepens.
     """
     A, B = as_pair(A, B)
     check_window(theta, chi_max)
-    if m_probe < 2:
-        raise InputError("m_probe must be >= 2")
     if chi_max == 0.0:
         return 0.0
     E = expm(A, theta - chi_max)
-    lo = max(1, m_probe // 2)
     best = 0.0
-    for m, T in enumerate(islice(_commutators(A, B), int(m_probe) + 1)):
-        if m < lo:
-            continue
-        w = _norm2(T @ E)
-        if not np.isfinite(w):
-            raise ConvergenceError(
-                f"norm overflow at commutator order {m}; use a smaller m_probe"
-            )
-        best = max(best, w ** (1.0 / m) / m)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, T in enumerate(islice(_commutators(A, B), PROBE_DEPTH + 1)):
+            if m < PROBE_DEPTH // 2:
+                continue
+            w = _norm2(T @ E)
+            if not np.isfinite(w):
+                raise ConvergenceError(f"norm overflow at commutator order {m}")
+            best = max(best, w ** (1.0 / m) / m)
     return 2.0 * math.e * float(chi_max) * best

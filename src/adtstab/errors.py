@@ -7,7 +7,7 @@ class InputError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A truncated operator series failed to settle within its term cap, or a
-    series term or matrix exponential overflowed."""
+    series term, matrix exponential or simulated trajectory overflowed."""
 
 
 class GenerationError(RuntimeError):

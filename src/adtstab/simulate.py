@@ -11,15 +11,14 @@ model whose sine modes evolve independently under shifted generators.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .linalg import as_vector, check_positive, expm
-from .schedules import ADT, ImpulseSchedule, require_valid, schedule_to_doc
+from .schedules import ADT, ImpulseSchedule, require_valid
 from .serialize import fmt
 from .systems import ImpulsiveSystem, comparison_jump, lifted_initial
 
@@ -50,7 +49,6 @@ class Trajectory:
     states: np.ndarray
     norms: np.ndarray
     jump_indices: np.ndarray
-    meta: dict
 
     @property
     def post_jump_states(self) -> np.ndarray:
@@ -96,27 +94,25 @@ def mode_generator(model: ParabolicModel, j: int) -> np.ndarray:
     return model.A - model.decay_rate(j) * np.eye(model.n)
 
 
-def l2_norm(model: ParabolicModel, modes) -> float:
-    """L2 norm sqrt(ell/2 * sum_j |c_j|^2) of a sine-mode coefficient block."""
+def _as_modes(model: ParabolicModel, modes, name: str = "modes") -> np.ndarray:
+    """Coerce a finite (n_modes, n) block of sine-mode coefficients."""
     C = np.asarray(modes, dtype=float)
-    if C.ndim != 2 or C.shape[1] != model.n:
+    if C.shape != (model.n_modes, model.n):
         raise InputError(
-            f"modes must have shape (n_modes, {model.n}), got {C.shape}"
+            f"{name} must have shape ({model.n_modes}, {model.n}), got {C.shape}"
         )
     if not np.all(np.isfinite(C)):
-        raise InputError("modes have non-finite entries")
-    return float(np.sqrt(model.ell / 2.0 * np.sum(C * C)))
+        raise InputError(f"{name} have non-finite entries")
+    return C
 
 
-def _digest(*arrays, **scalars) -> str:
-    h = hashlib.sha256()
-    for a in arrays:
-        a = np.ascontiguousarray(a, dtype=float)
-        h.update(str(a.shape).encode())
-        h.update(a.tobytes())
-    for k in sorted(scalars):
-        h.update(f"{k}={scalars[k]!r};".encode())
-    return h.hexdigest()[:16]
+def _l2(ell: float, C: np.ndarray) -> float:
+    return float(np.sqrt(ell / 2.0 * np.sum(C * C)))
+
+
+def l2_norm(model: ParabolicModel, modes) -> float:
+    """L2 norm sqrt(ell/2 * sum_j |c_j|^2) of a sine-mode coefficient block."""
+    return _l2(model.ell, _as_modes(model, modes))
 
 
 def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
@@ -135,7 +131,8 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norm_of
 
     The offsets dt of each inter-impulse segment's events from its post-jump
     state go through one stacked expm of A (at most FLOW_BLOCK at a time);
-    evolve(state, dt, e^(dt A)) must be exact for the flow.
+    evolve(state, dt, e^(dt A)) must be exact for the flow.  A state whose
+    norm overflows raises ConvergenceError naming its time.
     """
     jump_set = set(float(t) for t in jump_times)
     events = [(float(t), True) for t in jump_times]
@@ -153,29 +150,34 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norm_of
     jump_rows = []
     seg_t, seg_x = float(tau0), x0
     start = 0
-    while start < len(events):
-        stop = min(start + FLOW_BLOCK, len(events))
-        stop = next((i + 1 for i in range(start, stop) if events[i][1]), stop)
-        block = events[start:stop]
-        start = stop
-        dts = np.array([t - seg_t for t, _ in block])
-        flows = expm(dts[:, None, None] * A)
-        for (t, is_jump), dt, flow in zip(block, dts, flows):
-            pre = evolve(seg_x, dt, flow)
-            times.append(t)
-            states.append(pre)
-            norms.append(norm_of(pre))
-            if is_jump:
-                post = jump(pre)
+    with np.errstate(over="ignore", invalid="ignore"):
+        while start < len(events):
+            stop = min(start + FLOW_BLOCK, len(events))
+            stop = next((i + 1 for i in range(start, stop) if events[i][1]), stop)
+            block = events[start:stop]
+            start = stop
+            dts = np.array([t - seg_t for t, _ in block])
+            flows = expm(dts[:, None, None] * A)
+            for (t, is_jump), dt, flow in zip(block, dts, flows):
+                pre = evolve(seg_x, dt, flow)
                 times.append(t)
-                states.append(post)
-                norms.append(norm_of(post))
-                jump_rows.append(len(times) - 1)
-                seg_t, seg_x = t, post
+                states.append(pre)
+                norms.append(norm_of(pre))
+                if is_jump:
+                    post = jump(pre)
+                    times.append(t)
+                    states.append(post)
+                    norms.append(norm_of(post))
+                    jump_rows.append(len(times) - 1)
+                    seg_t, seg_x = t, post
+    norms = np.asarray(norms)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ConvergenceError(f"trajectory norm overflowed at t = {times[bad[0]]:g}")
     return (
         np.asarray(times),
         np.asarray(states),
-        np.asarray(norms),
+        norms,
         np.asarray(jump_rows, dtype=int),
     )
 
@@ -212,14 +214,7 @@ def simulate_ode(
         jump=lambda x: B @ x,
         norm_of=lambda x: float(np.linalg.norm(x)),
     )
-    meta = {
-        "kind": "ode",
-        "system": _digest(A, B),
-        "schedule": schedule_to_doc(schedule),
-        "t_end": float(t_end),
-        "sample_dt": float(sample_dt),
-    }
-    return Trajectory(times, states, norms, jump_rows, meta)
+    return Trajectory(times, states, norms, jump_rows)
 
 
 def simulate_comparison(
@@ -227,7 +222,6 @@ def simulate_comparison(
     schedule: ImpulseSchedule,
     z0,
     K: int,
-    rel_tol: float = 1e-12,
 ) -> Trajectory:
     """Evolve the comparison system on the uniform grid for K periods.
 
@@ -254,32 +248,17 @@ def simulate_comparison(
         pre = E @ z
         times.append(k * theta)
         states.append(pre)
-        cj = comparison_jump(
-            system,
-            schedule.chis[k + 1],
-            schedule.chi_max,
-            schedule.variant,
-            rel_tol,
-            index=k,
-        )
+        cj = comparison_jump(system, schedule.chis[k + 1], schedule.chi_max, schedule.variant)
         z = cj.J @ pre
         times.append(k * theta)
         states.append(z)
         jump_rows.append(len(times) - 1)
     states = np.asarray(states)
-    meta = {
-        "kind": "comparison",
-        "system": _digest(system.A, system.B),
-        "schedule": schedule_to_doc(schedule),
-        "K": int(K),
-        "rel_tol": float(rel_tol),
-    }
     return Trajectory(
         np.asarray(times),
         states,
         np.linalg.norm(states, axis=1),
         np.asarray(jump_rows, dtype=int),
-        meta,
     )
 
 
@@ -288,7 +267,6 @@ def matching_residual(
     schedule: ImpulseSchedule,
     x0,
     K: int,
-    rel_tol: float = 1e-12,
 ) -> float:
     """Worst normalized mismatch between the original post-jump states and
     their comparison-system predictions.
@@ -311,15 +289,9 @@ def matching_residual(
     x_posts = traj_x.post_jump_states  # x(tau_k+), k = 1..K
 
     z0 = lifted_initial(
-        system,
-        x0,
-        schedule.chis[1],
-        schedule.chi_max,
-        schedule.theta,
-        rel_tol,
-        schedule.variant,
+        system, x0, schedule.chis[1], schedule.chi_max, schedule.theta, schedule.variant
     )
-    traj_z = simulate_comparison(system, schedule, z0, K - 1, rel_tol)
+    traj_z = simulate_comparison(system, schedule, z0, K - 1)
     z_posts = [z0] + list(traj_z.post_jump_states)  # zhat(k theta+), k = 0..K-1
 
     offset = schedule.chi_max if schedule.variant == ADT else 0.0
@@ -350,14 +322,7 @@ def simulate_parabolic(
     never couple and the jump applies B to every coefficient vector.
     """
     jump_times = _jump_times(schedule, t_end, sample_dt)
-    C0 = np.asarray(init_modes, dtype=float)
-    if C0.ndim != 2 or C0.shape != (model.n_modes, model.n):
-        raise InputError(
-            f"init_modes must have shape ({model.n_modes}, {model.n}), got {C0.shape}"
-        )
-    if not np.all(np.isfinite(C0)):
-        raise InputError("init_modes have non-finite entries")
-
+    C0 = _as_modes(model, init_modes, "init_modes")
     rates = np.array([model.decay_rate(j) for j in range(1, model.n_modes + 1)])
     A, B = model.A, model.B
 
@@ -373,16 +338,9 @@ def simulate_parabolic(
         A,
         evolve=evolve,
         jump=lambda C: C @ B.T,
-        norm_of=lambda C: l2_norm(model, C),
+        norm_of=lambda C: _l2(model.ell, C),
     )
-    meta = {
-        "kind": "parabolic",
-        "system": _digest(A, B, mu=model.mu, ell=model.ell, n_modes=model.n_modes),
-        "schedule": schedule_to_doc(schedule),
-        "t_end": float(t_end),
-        "sample_dt": float(sample_dt),
-    }
-    return Trajectory(times, states, norms, jump_rows, meta)
+    return Trajectory(times, states, norms, jump_rows)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

@@ -46,7 +46,6 @@ class ImpulsiveSystem:
 class ComparisonJump:
     """Jump operator J = B + G of the comparison system at one grid instant."""
 
-    index: int
     J: np.ndarray
     G: np.ndarray
     variant: str
@@ -71,14 +70,12 @@ def comparison_jump(
     chi_next: float,
     chi_max: float,
     variant: str = ADT,
-    rel_tol: float = 1e-12,
-    index: int = 0,
 ) -> ComparisonJump:
     """Comparison jump J = B + sum_{m>=1} s^m/m! {B, A^m} with s set by the
     variant (s = chi_max + chi_next for "adt", s = chi_next for "adt_plus")."""
     s = _deviation_span(chi_next, chi_max, variant)
-    G = commutator_series(system.A, system.B, s, rel_tol, start=1)
-    return ComparisonJump(index=int(index), J=system.B + G, G=G, variant=variant)
+    G = commutator_series(system.A, system.B, s, start=1)
+    return ComparisonJump(J=system.B + G, G=G, variant=variant)
 
 
 def lifted_initial(
@@ -87,7 +84,6 @@ def lifted_initial(
     chi_1: float,
     chi_max: float,
     theta: float,
-    rel_tol: float = 1e-12,
     variant: str = ADT,
 ) -> np.ndarray:
     """Initial state of the comparison system.
@@ -100,5 +96,5 @@ def lifted_initial(
     x0 = as_vector(x0, system.n)
     s = _deviation_span(chi_1, chi_max, variant)
     flow = theta - chi_max if variant == ADT else theta
-    S = commutator_series(system.A, system.B, s, rel_tol, start=0)
+    S = commutator_series(system.A, system.B, s, start=0)
     return S @ (expm(system.A, flow) @ x0)

@@ -220,3 +220,16 @@ def test_search_p0_deterministic():
 def test_search_p0_budget_validation(ref):
     with pytest.raises(st.InputError):
         st.search_p0(ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell, budget=0)
+
+
+def test_commutator_overflow_raises_convergence_error(ref):
+    # ||A|| * 2 chi_max ~ 100 overflows the recurrence behind omega
+    A = np.array([[50.0, 40.0], [-30.0, -60.0]])
+    with pytest.raises(st.ConvergenceError, match="correction bound: series term overflowed"):
+        st.evaluate_certificate(A, ref.B, 1.0, 0.9, ref.mu, ref.ell)
+
+
+def test_report_inputs_carry_fixed_series_settings(ref):
+    doc = st.evaluate_certificate(ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell).to_doc()
+    assert doc["inputs"]["rel_tol"] == st.commutators.REL_TOL == 1e-12
+    assert doc["inputs"]["m_probe"] == st.commutators.PROBE_DEPTH == 40

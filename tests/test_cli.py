@@ -1,4 +1,5 @@
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -311,3 +312,43 @@ def test_output_is_only_file_written(ref_config_path, tmp_path, monkeypatch):
     rc = main(["certify", "--config", str(ref_config_path), "--output", "report.json", "--quiet"])
     assert rc == 0
     assert [p.name for p in Path(".").iterdir()] == ["report.json"]
+
+
+def test_commutators_overflow_exit2(ref_config_path, tmp_path, capsys):
+    cfg = _patched_config(ref_config_path, tmp_path, {
+        "system.A": [50.0, 40.0, -30.0, -60.0],
+        "run.m_max": 400,
+    })
+    out = tmp_path / "comm.csv"
+    assert main(["commutators", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert re.fullmatch(r"error: commutator of order \d+ overflowed\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("drop", [(), ("pde",)], ids=["parabolic", "vector"])
+def test_simulate_overflow_exit2(ref_config_path, tmp_path, capsys, drop):
+    cfg = _patched_config(ref_config_path, tmp_path, {
+        "system.A": [0.0, 0.0, 0.0, 0.0],
+        "system.B": [1e200, 0.0, 0.0, 1e200],
+    }, drop=drop)
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert re.fullmatch(r"error: trajectory norm overflowed at t = \S+\n", capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("sub", ["certify", "simulate", "omega", "mr-check", "commutators"])
+def test_other_rel_tol_exit2(ref_config_path, tmp_path, capsys, sub):
+    cfg = _patched_config(ref_config_path, tmp_path, {"run.rel_tol": 1e-10})
+    assert main([sub, "--config", str(cfg), "--quiet"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: run.rel_tol is fixed at 1e-12, got 1e-10\n"
+
+
+def test_fixed_rel_tol_is_accepted(ref_config_path, tmp_path):
+    cfg = _patched_config(ref_config_path, tmp_path, {"run.rel_tol": 1e-12})
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["certify", "--config", str(cfg), "--output", str(a), "--quiet"]) == 0
+    assert main(["certify", "--config", str(ref_config_path), "--output", str(b), "--quiet"]) == 0
+    assert a.read_bytes() == b.read_bytes()

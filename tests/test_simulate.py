@@ -60,8 +60,6 @@ def test_trajectory_bookkeeping(ref_system):
     expected_jumps = int(np.sum(sched.taus[1:] <= 6.0))
     assert len(traj.jump_indices) == expected_jumps
     assert np.allclose(traj.post_jump_times, sched.taus[1 : expected_jumps + 1])
-    assert traj.meta["kind"] == "ode"
-    assert traj.meta["schedule"]["theta"] == 1.0
 
 
 def test_simulate_validation(ref_system):
@@ -97,7 +95,6 @@ def test_comparison_trajectory_layout(ref_system, ref):
     sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, 8, st.ADT, seed=2)
     z0 = np.array([1.0, 0.5])
     traj = st.simulate_comparison(ref_system, sched, z0, K=5)
-    assert traj.meta["kind"] == "comparison"
     assert np.allclose(traj.post_jump_times, ref.theta * np.arange(1, 6))
     assert len(traj.times) == 1 + 2 * 5
 
@@ -324,3 +321,31 @@ def test_parabolic_states_equal_per_sample_scipy_propagation(n, make_schedule, t
     traj = st.simulate_parabolic(model, sched, C0, t_end, dt)
     assert traj.times.tobytes() == np.array([t for t, _, _ in rows]).tobytes()
     assert traj.states.tobytes() == np.array([C for _, C, _ in rows]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["ode", "parabolic"])
+def test_overflowing_trajectory_raises_convergence_error(kind):
+    # the third jump multiplies 1e-250 by 1e600 and leaves float64
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 10, st.ADT, seed=0)
+    A, B = np.zeros((2, 2)), 1e200 * np.eye(2)
+    if kind == "ode":
+        run = lambda: st.simulate_ode(st.ImpulsiveSystem(A=A, B=B), sched, [1e-250, 0.0], 8.0, 0.5)
+    else:
+        model = st.ParabolicModel(A=A, B=B, mu=1.0, ell=np.pi, n_modes=3)
+        run = lambda: st.simulate_parabolic(model, sched, np.full((3, 2), 1e-250), 8.0, 0.5)
+    with pytest.raises(st.ConvergenceError, match=rf"overflowed at t = {sched.taus[3]:g}$"):
+        run()
+
+
+def test_modal_blocks_share_one_check(ref_model):
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 4, st.ADT, seed=3)
+    with pytest.raises(st.InputError, match=r"^modes must have shape \(32, 2\)"):
+        st.l2_norm(ref_model, np.zeros((31, 2)))
+    with pytest.raises(st.InputError, match=r"init_modes must have shape \(32, 2\)"):
+        st.simulate_parabolic(ref_model, sched, np.zeros((31, 2)), 2.0, 0.5)
+    bad = np.zeros((32, 2))
+    bad[4, 1] = np.nan
+    with pytest.raises(st.InputError, match="^modes have non-finite entries$"):
+        st.l2_norm(ref_model, bad)
+    with pytest.raises(st.InputError, match="^init_modes have non-finite entries$"):
+        st.simulate_parabolic(ref_model, sched, bad, 2.0, 0.5)

@@ -2,6 +2,7 @@ from math import factorial
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import adtstab as st
 from adtstab.linalg import expm, spectral_norm
@@ -14,6 +15,18 @@ def _series_oracle(A, B, s, depth=40):
         term = term @ A - A @ term
         acc += s**m / factorial(m) * term
     return acc
+
+
+def _hadamard_oracle(A, B, s):
+    """Closed form S(s) = e^(-sA) B e^(sA); shares no code with the series."""
+    return scipy.linalg.expm(-s * A) @ B @ scipy.linalg.expm(s * A)
+
+
+def _random_pairs(seed, count=20):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = int(rng.integers(2, 6))
+        yield rng.uniform(-1.0, 1.0, (n, n)), rng.uniform(-1.0, 1.0, (n, n)), rng
 
 
 def test_system_shape_validation():
@@ -119,3 +132,44 @@ def test_lifted_initial_validation(ref_system, ref):
         st.lifted_initial(ref_system, [1.0, 0.0], 0.0, 0.5, 0.4)
     with pytest.raises(st.InputError):
         st.lifted_initial(ref_system, [1.0, 0.0], 0.3, 0.2, 1.0)
+
+
+def test_hadamard_series_matches_closed_form(ref):
+    cases = [(ref.A, ref.B, t) for t in (0.0, 0.1, 0.37, 1.0)]
+    cases += [(A, B, float(rng.uniform(0.0, 2.0))) for A, B, rng in _random_pairs(41)]
+    for A, B, t in cases:
+        S = st.hadamard_series(A, B, t)
+        assert np.allclose(S, _hadamard_oracle(A, B, t), rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("variant", [st.ADT, st.ADT_PLUS])
+def test_comparison_jump_matches_closed_form(ref, variant):
+    cases = [(ref.A, ref.B, ref.chi_max)]
+    cases += [(A, B, float(rng.uniform(0.05, 0.45))) for A, B, rng in _random_pairs(43)]
+    rng = np.random.default_rng(47)
+    for A, B, chi_max in cases:
+        lo = -chi_max if variant == st.ADT else 0.0
+        for chi in (lo, float(rng.uniform(lo, chi_max)), chi_max):
+            s = chi + chi_max if variant == st.ADT else chi
+            S = _hadamard_oracle(A, B, s)
+            cj = st.comparison_jump(st.ImpulsiveSystem(A=A, B=B), chi, chi_max, variant)
+            assert np.allclose(cj.J, S, rtol=1e-12, atol=1e-15)
+            assert np.allclose(cj.G, S - B, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("variant", [st.ADT, st.ADT_PLUS])
+def test_lifted_initial_matches_closed_form(ref, variant):
+    cases = [(ref.A, ref.B, ref.theta, ref.chi_max)]
+    cases += [
+        (A, B, float(rng.uniform(0.5, 1.5)), float(rng.uniform(0.05, 0.45)))
+        for A, B, rng in _random_pairs(53)
+    ]
+    rng = np.random.default_rng(59)
+    for A, B, theta, chi_max in cases:
+        x0 = rng.standard_normal(A.shape[0])
+        lo = -chi_max if variant == st.ADT else 0.0
+        chi1 = float(rng.uniform(lo, chi_max))
+        s, flow = (chi1 + chi_max, theta - chi_max) if variant == st.ADT else (chi1, theta)
+        oracle = _hadamard_oracle(A, B, s) @ scipy.linalg.expm(flow * A) @ x0
+        z0 = st.lifted_initial(st.ImpulsiveSystem(A=A, B=B), x0, chi1, chi_max, theta, variant)
+        assert np.allclose(z0, oracle, rtol=1e-12, atol=1e-15)
