@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .commutators import PROBE_DEPTH, REL_TOL, convergence_margin, correction_bound, lift_bound
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .linalg import (
     as_pair,
     check_positive,
@@ -137,11 +137,19 @@ class CertificateProblem:
             object.__setattr__(self, name, value)
 
     def lhs(self, P0: np.ndarray) -> np.ndarray:
-        """Left side of the discounted jump inequality for a validated P0."""
-        d = self.discount
-        mixed = max(spectral_norm(self.B @ P0), spectral_norm(self.B.T @ P0))
-        scale = 2.0 * self.omega * mixed + self.omega**2 * spectral_norm(P0)
-        return d * (self.phi.T @ P0 @ self.phi) + d * scale * (self.E.T @ self.E)
+        """Left side of the discounted jump inequality for a validated P0.
+
+        A left side that overflows float64 raises ConvergenceError.
+        """
+        # a numpy scalar squares to inf where a Python float's ** would raise
+        d, w = self.discount, np.float64(self.omega)
+        with np.errstate(over="ignore", invalid="ignore"):
+            mixed = max(spectral_norm(self.B @ P0), spectral_norm(self.B.T @ P0))
+            scale = 2.0 * w * mixed + w**2 * spectral_norm(P0)
+            out = d * (self.phi.T @ P0 @ self.phi) + d * scale * (self.E.T @ self.E)
+        if not np.all(np.isfinite(out)):
+            raise ConvergenceError(f"jump inequality overflowed at omega = {w:g}")
+        return out
 
     def margin(self, P0: np.ndarray) -> float:
         """Smallest eigenvalue of P0 minus the left side."""

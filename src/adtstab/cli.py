@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: certify, simulate, omega, mr-check, gen-times, commutators.
-Every subcommand reads one JSON config (--config), writes at most the file
-named by --output, and exits 0 on success/certified, 1 on an honest
-negative, 2 on invalid input.
+Each cmd_* takes the parsed config and the --seed override and returns its
+artifact text, a one-line summary and its exit code: 0 on success/certified,
+1 on an honest negative.  main alone reads the config (--config) and writes
+the artifact (to --output, or stdout) and the summary; invalid input exits 2.
 """
 
 from __future__ import annotations
@@ -133,32 +134,20 @@ def _run_seed(run: dict, seed_override: int | None) -> int:
     return int(run.get("seed", 0)) if seed_override is None else seed_override
 
 
-def _config_x0(run: dict, n: int, seed: int) -> np.ndarray:
-    """run.x0, or a unit vector drawn from seed."""
-    if "x0" in run:
-        return np.asarray(run["x0"], dtype=float)
-    v = np.random.default_rng(seed).standard_normal(n)
-    return v / np.linalg.norm(v)
+def _initial(run: dict, key: str, shape, seed: int, norm) -> np.ndarray:
+    """run[key], or standard-normal data of this shape drawn from seed and
+    divided by its norm."""
+    if key in run:
+        return np.asarray(run[key], dtype=float)
+    v = np.random.default_rng(seed).standard_normal(shape)
+    return v / norm(v)
 
 
-def _emit(text: str, args) -> None:
-    if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
-def _say(args, message: str) -> None:
-    if not args.quiet and args.output:
-        print(message)
-
-
-def cmd_certify(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_certify(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     model = _config_model(cfg, _config_system(cfg))
     theta, chi_max = _floats(_section(cfg, "schedule"), "schedule", "theta", "chi_max")
     run = _run(cfg)
-    seed = _run_seed(run, args.seed)
+    seed = _run_seed(run, seed_override)
 
     problem = CertificateProblem(model.A, model.B, theta, chi_max, model.mu, model.ell)
     search_meta = {"attempted": False, "found": False, "budget": 0}
@@ -174,36 +163,26 @@ def cmd_certify(args) -> int:
     report = problem.evaluate(p0)
     doc = report.to_doc()
     doc["p0_search"] = search_meta
-    _emit(dumps(doc), args)
     verdict = "certified" if report.certified else "not certified"
-    _say(
-        args,
+    summary = (
         f"{verdict}: spectral radius {report.spectral_radius:.6g} vs threshold "
-        f"{report.threshold:.6g}, margin {report.margin:.6g}, omega {report.omega:.6g}",
+        f"{report.threshold:.6g}, margin {report.margin:.6g}, omega {report.omega:.6g}"
     )
-    return 0 if report.certified else 1
+    return dumps(doc), summary, 0 if report.certified else 1
 
 
-def _seeded_unit_modes(model: ParabolicModel, seed: int) -> np.ndarray:
-    rng = np.random.default_rng(seed)
-    C = rng.standard_normal((model.n_modes, model.n))
-    return C / l2_norm(model, C)
-
-
-def cmd_simulate(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_simulate(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
-    schedule = _config_schedule(cfg, args.seed)
+    schedule = _config_schedule(cfg, seed_override)
     run = _run(cfg)
     t_end, sample_dt = _floats(run, "run", "t_end", "sample_dt")
-    seed = _run_seed(run, args.seed)
+    seed = _run_seed(run, seed_override)
 
     if "pde" in cfg:
         model = _config_model(cfg, system)
-        if "init_modes" in run:
-            init = np.asarray(run["init_modes"], dtype=float)
-        else:
-            init = _seeded_unit_modes(model, seed)
+        init = _initial(
+            run, "init_modes", (model.n_modes, model.n), seed, lambda C: l2_norm(model, C)
+        )
         traj = simulate_parabolic(model, schedule, init, t_end, sample_dt)
         if "per_mode_dir" in run:
             out_dir = Path(run["per_mode_dir"])
@@ -213,19 +192,17 @@ def cmd_simulate(args) -> int:
                     mode_csv(traj, j), encoding="utf-8"
                 )
     else:
-        traj = simulate_ode(system, schedule, _config_x0(run, system.n, seed), t_end, sample_dt)
+        x0 = _initial(run, "x0", system.n, seed, np.linalg.norm)
+        traj = simulate_ode(system, schedule, x0, t_end, sample_dt)
 
-    _emit(trajectory_to_csv(traj), args)
-    _say(
-        args,
+    summary = (
         f"{len(traj.times)} samples, {len(traj.jump_indices)} impulses, "
-        f"final norm {traj.norms[-1]:.6g}",
+        f"final norm {traj.norms[-1]:.6g}"
     )
-    return 0
+    return trajectory_to_csv(traj), summary, 0
 
 
-def cmd_omega(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_omega(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
     (chi_max,) = _floats(_section(cfg, "schedule"), "schedule", "chi_max")
     _run(cfg)  # rejects a malformed run section or another run.rel_tol
@@ -233,47 +210,37 @@ def cmd_omega(args) -> int:
     omega = sum(r.contribution for r in rows)
     lines = [f"omega = {fmt(omega)}", "m,commutator_norm,contribution"]
     lines += [f"{r.m},{fmt(r.commutator_norm)},{fmt(r.contribution)}" for r in rows]
-    _emit("\n".join(lines) + "\n", args)
-    _say(args, f"omega = {omega:.6g} from {len(rows)} series terms")
-    return 0
+    return "\n".join(lines) + "\n", f"omega = {omega:.6g} from {len(rows)} series terms", 0
 
 
-def cmd_mr_check(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_mr_check(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
-    schedule = _config_schedule(cfg, args.seed)
+    schedule = _config_schedule(cfg, seed_override)
     run = _run(cfg)
     K = int(run.get("k", 20))
-    x0 = _config_x0(run, system.n, _run_seed(run, args.seed))
+    x0 = _initial(run, "x0", system.n, _run_seed(run, seed_override), np.linalg.norm)
     residual = matching_residual(system, schedule, x0, K)
     ok = residual <= MR_TOL
-    _emit(
+    text = (
         f"matching residual over k = 2..{K}: {fmt(residual)} "
-        f"({'within' if ok else 'exceeds'} tolerance {MR_TOL:g})\n",
-        args,
+        f"({'within' if ok else 'exceeds'} tolerance {MR_TOL:g})\n"
     )
-    _say(args, f"residual {residual:.3e} ({'ok' if ok else 'FAILED'})")
-    return 0 if ok else 1
+    return text, f"residual {residual:.3e} ({'ok' if ok else 'FAILED'})", 0 if ok else 1
 
 
-def cmd_gen_times(args) -> int:
-    cfg = _load_config(args.config)
-    schedule = _config_schedule(cfg, args.seed)
+def cmd_gen_times(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
+    schedule = _config_schedule(cfg, seed_override)
     require_valid(schedule)
-    _emit(dumps(schedule_to_doc(schedule)), args)
-    _say(args, f"{len(schedule)} instants on [{schedule.taus[0]:.6g}, {schedule.taus[-1]:.6g}]")
-    return 0
+    summary = f"{len(schedule)} instants on [{schedule.taus[0]:.6g}, {schedule.taus[-1]:.6g}]"
+    return dumps(schedule_to_doc(schedule)), summary, 0
 
 
-def cmd_commutators(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_commutators(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
     m_max = int(_run(cfg).get("m_max", 10))
     seq = nested_commutators(system.A, system.B, m_max)
     lines = ["m,norm"] + [f"{m},{fmt(v)}" for m, v in enumerate(seq.norms)]
-    _emit("\n".join(lines) + "\n", args)
-    _say(args, f"computed nested commutators up to order {m_max}")
-    return 0
+    return "\n".join(lines) + "\n", f"computed nested commutators up to order {m_max}", 0
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -300,10 +267,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        text, summary, code = args.func(_load_config(args.config), args.seed)
+        if args.output:
+            Path(args.output).write_text(text, encoding="utf-8")
+            if not args.quiet:
+                print(summary)
+        else:
+            sys.stdout.write(text)
     except (InputError, GenerationError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -126,13 +126,24 @@ def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
 FLOW_BLOCK = 256
 
 
-def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norm_of):
+def _trajectory(times, states, norms, jump_rows) -> Trajectory:
+    """Assemble a Trajectory; a norm that overflowed raises ConvergenceError
+    naming its time."""
+    norms = np.asarray(norms)
+    bad = np.flatnonzero(~np.isfinite(norms))
+    if bad.size:
+        raise ConvergenceError(f"trajectory norm overflowed at t = {times[bad[0]]:g}")
+    return Trajectory(
+        np.asarray(times), np.asarray(states), norms, np.asarray(jump_rows, dtype=int)
+    )
+
+
+def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norm_of) -> Trajectory:
     """Shared event loop.
 
     The offsets dt of each inter-impulse segment's events from its post-jump
     state go through one stacked expm of A (at most FLOW_BLOCK at a time);
-    evolve(state, dt, e^(dt A)) must be exact for the flow.  A state whose
-    norm overflows raises ConvergenceError naming its time.
+    evolve(state, dt, e^(dt A)) must be exact for the flow.
     """
     jump_set = set(float(t) for t in jump_times)
     events = [(float(t), True) for t in jump_times]
@@ -170,16 +181,7 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norm_of
                     norms.append(norm_of(post))
                     jump_rows.append(len(times) - 1)
                     seg_t, seg_x = t, post
-    norms = np.asarray(norms)
-    bad = np.flatnonzero(~np.isfinite(norms))
-    if bad.size:
-        raise ConvergenceError(f"trajectory norm overflowed at t = {times[bad[0]]:g}")
-    return (
-        np.asarray(times),
-        np.asarray(states),
-        norms,
-        np.asarray(jump_rows, dtype=int),
-    )
+    return _trajectory(times, states, norms, jump_rows)
 
 
 def _jump_times(schedule: ImpulseSchedule, t_end: float, sample_dt: float) -> list[float]:
@@ -203,7 +205,7 @@ def simulate_ode(
     jump_times = _jump_times(schedule, t_end, sample_dt)
     x0 = as_vector(x0, system.n)
     A, B = system.A, system.B
-    times, states, norms, jump_rows = _run_events(
+    return _run_events(
         x0,
         schedule.tau0,
         jump_times,
@@ -214,7 +216,6 @@ def simulate_ode(
         jump=lambda x: B @ x,
         norm_of=lambda x: float(np.linalg.norm(x)),
     )
-    return Trajectory(times, states, norms, jump_rows)
 
 
 def simulate_comparison(
@@ -244,22 +245,18 @@ def simulate_comparison(
     states = [z0]
     jump_rows = []
     z = z0
-    for k in range(1, int(K) + 1):
-        pre = E @ z
-        times.append(k * theta)
-        states.append(pre)
-        cj = comparison_jump(system, schedule.chis[k + 1], schedule.chi_max, schedule.variant)
-        z = cj.J @ pre
-        times.append(k * theta)
-        states.append(z)
-        jump_rows.append(len(times) - 1)
-    states = np.asarray(states)
-    return Trajectory(
-        np.asarray(times),
-        states,
-        np.linalg.norm(states, axis=1),
-        np.asarray(jump_rows, dtype=int),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, int(K) + 1):
+            pre = E @ z
+            times.append(k * theta)
+            states.append(pre)
+            cj = comparison_jump(system, schedule.chis[k + 1], schedule.chi_max, schedule.variant)
+            z = cj.J @ pre
+            times.append(k * theta)
+            states.append(z)
+            jump_rows.append(len(times) - 1)
+        norms = np.linalg.norm(states, axis=1)
+    return _trajectory(times, states, norms, jump_rows)
 
 
 def matching_residual(
@@ -329,7 +326,7 @@ def simulate_parabolic(
     def evolve(C, dt, flow):
         return np.exp(-rates * dt)[:, None] * (C @ flow.T)
 
-    times, states, norms, jump_rows = _run_events(
+    return _run_events(
         C0,
         schedule.tau0,
         jump_times,
@@ -340,7 +337,6 @@ def simulate_parabolic(
         jump=lambda C: C @ B.T,
         norm_of=lambda C: _l2(model.ell, C),
     )
-    return Trajectory(times, states, norms, jump_rows)
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:

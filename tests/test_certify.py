@@ -229,6 +229,21 @@ def test_commutator_overflow_raises_convergence_error(ref):
         st.evaluate_certificate(A, ref.B, 1.0, 0.9, ref.mu, ref.ell)
 
 
+# B = magnitude * [[0, 1], [1, 0]] against A = diag(1, -1): at 1e200 omega^2
+# leaves float64, at 1e155 (chi_max = 0.001) the product Phi^T P0 Phi does
+INEQUALITY_OVERFLOWS = [(1e200, 0.1), (1e155, 0.001)]
+
+
+@pytest.mark.parametrize("magnitude, chi_max", INEQUALITY_OVERFLOWS, ids=["omega", "phi"])
+def test_inequality_overflow_raises_convergence_error(magnitude, chi_max):
+    A = np.diag([1.0, -1.0])
+    B = magnitude * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(st.ConvergenceError, match="^jump inequality overflowed at omega = "):
+        st.evaluate_certificate(A, B, 1.0, chi_max, 1.0, np.pi)
+    with pytest.raises(st.ConvergenceError, match="^jump inequality overflowed at omega = "):
+        st.search_p0(A, B, 1.0, chi_max, 1.0, np.pi)
+
+
 def test_report_inputs_carry_fixed_series_settings(ref):
     doc = st.evaluate_certificate(ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell).to_doc()
     assert doc["inputs"]["rel_tol"] == st.commutators.REL_TOL == 1e-12

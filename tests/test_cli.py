@@ -288,23 +288,62 @@ def test_commutators_table(ref_config_path, tmp_path):
     )
 
 
-def test_stdout_when_no_output_given(ref_config_path, capsys):
-    rc = main(["omega", "--config", str(ref_config_path)])
-    assert rc == 0
+SUBCOMMANDS = ["certify", "simulate", "omega", "mr-check", "gen-times", "commutators"]
+
+# the first words of each subcommand's one-line summary on the bundled config
+SUMMARY_STARTS = {
+    "certify": "certified: spectral radius ",
+    "simulate": "659 samples, 29 impulses, final norm ",
+    "omega": "omega = 0.1726",
+    "mr-check": "residual ",
+    "gen-times": "40 instants on [0, ",
+    "commutators": "computed nested commutators up to order 12",
+}
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_stdout_when_no_output_given(ref_config_path, tmp_path, capsys, sub):
+    out = tmp_path / "artifact"
+    assert main([sub, "--config", str(ref_config_path), "--output", str(out), "--quiet"]) == 0
+    capsys.readouterr()
+    assert main([sub, "--config", str(ref_config_path)]) == 0
     captured = capsys.readouterr()
-    assert captured.out.startswith("omega = ")
+    assert captured.out == out.read_text(encoding="utf-8")
+    assert captured.err == ""
 
 
-def test_quiet_suppresses_chatter(ref_config_path, tmp_path, capsys):
-    out = tmp_path / "report.json"
-    main(["certify", "--config", str(ref_config_path), "--output", str(out), "--quiet"])
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_quiet_suppresses_chatter(ref_config_path, tmp_path, capsys, sub):
+    out = tmp_path / "artifact"
+    assert main([sub, "--config", str(ref_config_path), "--output", str(out), "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+    assert out.stat().st_size > 0
 
 
-def test_chatter_goes_to_stdout_with_output(ref_config_path, tmp_path, capsys):
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_chatter_goes_to_stdout_with_output(ref_config_path, tmp_path, capsys, sub):
+    quiet, chatty = tmp_path / "quiet", tmp_path / "chatty"
+    assert main([sub, "--config", str(ref_config_path), "--output", str(quiet), "--quiet"]) == 0
+    assert main([sub, "--config", str(ref_config_path), "--output", str(chatty)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith(SUMMARY_STARTS[sub])
+    assert out.endswith("\n") and out.count("\n") == 1
+    assert chatty.read_bytes() == quiet.read_bytes()
+
+
+@pytest.mark.parametrize("magnitude, chi_max", [(1e200, 0.1), (1e155, 0.001)], ids=["omega", "phi"])
+def test_certify_inequality_overflow_exit2(ref_config_path, tmp_path, capsys, magnitude, chi_max):
+    cfg = _patched_config(ref_config_path, tmp_path, {
+        "system.A": [1.0, 0.0, 0.0, -1.0],
+        "system.B": [0.0, magnitude, magnitude, 0.0],
+        "schedule.chi_max": chi_max,
+    })
     out = tmp_path / "report.json"
-    main(["certify", "--config", str(ref_config_path), "--output", str(out)])
-    assert "certified" in capsys.readouterr().out
+    assert main(["certify", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: jump inequality overflowed at omega = \S+\n", captured.err)
 
 
 def test_output_is_only_file_written(ref_config_path, tmp_path, monkeypatch):

@@ -337,6 +337,14 @@ def test_overflowing_trajectory_raises_convergence_error(kind):
         run()
 
 
+def test_overflowing_comparison_raises_convergence_error():
+    # with A = 0 every jump multiplies by 1e200, and the third leaves float64
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 10, st.ADT, seed=0)
+    system = st.ImpulsiveSystem(A=np.zeros((2, 2)), B=1e200 * np.eye(2))
+    with pytest.raises(st.ConvergenceError, match=r"overflowed at t = 3$"):
+        st.simulate_comparison(system, sched, [1e-250, 0.0], 5)
+
+
 def test_modal_blocks_share_one_check(ref_model):
     sched = st.generate_schedule(0.0, 1.0, 0.1, 4, st.ADT, seed=3)
     with pytest.raises(st.InputError, match=r"^modes must have shape \(32, 2\)"):
