@@ -18,7 +18,6 @@ from .commutators import (
     CommutatorSequence,
     SeriesTerm,
     commutator_series,
-    convergence_margin,
     correction_bound,
     correction_terms,
     hadamard_series,
@@ -80,7 +79,6 @@ __all__ = [
     "check_spd",
     "commutator_series",
     "comparison_jump",
-    "convergence_margin",
     "correction_bound",
     "correction_terms",
     "evaluate_certificate",

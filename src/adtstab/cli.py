@@ -165,8 +165,8 @@ def cmd_certify(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     doc["p0_search"] = search_meta
     verdict = "certified" if report.certified else "not certified"
     summary = (
-        f"{verdict}: spectral radius {report.spectral_radius:.6g} vs threshold "
-        f"{report.threshold:.6g}, margin {report.margin:.6g}, omega {report.omega:.6g}"
+        f"{verdict}: spectral radius {report.spectral_radius:.6g} vs log threshold "
+        f"{report.log_threshold:.6g}, margin {report.margin:.6g}, omega {report.omega:.6g}"
     )
     return dumps(doc), summary, 0 if report.certified else 1
 

@@ -15,7 +15,6 @@ anywhere in a series raises ConvergenceError, without a RuntimeWarning.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import islice
 
@@ -27,13 +26,11 @@ from .schedules import check_window
 
 TERM_CAP = 200
 REL_TOL = 1e-12
-PROBE_DEPTH = 40
 _QUIET_NEEDED = 3
 
 __all__ = [
     "TERM_CAP",
     "REL_TOL",
-    "PROBE_DEPTH",
     "CommutatorSequence",
     "SeriesTerm",
     "nested_commutators",
@@ -42,7 +39,6 @@ __all__ = [
     "correction_terms",
     "correction_bound",
     "lift_bound",
-    "convergence_margin",
 ]
 
 
@@ -192,28 +188,3 @@ def lift_bound(A, B, theta: float, chi_max: float) -> float:
     E = expm(A, theta - chi_max)
     terms = (coeff * _norm2(T @ E) for _m, coeff, T in _weighted(A, B, 2.0 * float(chi_max)))
     return float(_truncated_sum(terms, "lift bound")[0])
-
-
-def convergence_margin(A, B, theta: float, chi_max: float) -> float:
-    """Finite-depth proxy for the series convergence condition.
-
-    Evaluates 2 e chi_max * max over m in [PROBE_DEPTH/2, PROBE_DEPTH] of
-    ||{B, A^m} e^((theta - chi_max) A)||^(1/m) / m.  Values below one
-    indicate the lifted construction converges; for matrices the probe
-    tends to zero as it deepens.
-    """
-    A, B = as_pair(A, B)
-    check_window(theta, chi_max)
-    if chi_max == 0.0:
-        return 0.0
-    E = expm(A, theta - chi_max)
-    best = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for m, T in enumerate(islice(_commutators(A, B), PROBE_DEPTH + 1)):
-            if m < PROBE_DEPTH // 2:
-                continue
-            w = _norm2(T @ E)
-            if not np.isfinite(w):
-                raise ConvergenceError(f"norm overflow at commutator order {m}")
-            best = max(best, w ** (1.0 / m) / m)
-    return 2.0 * math.e * float(chi_max) * best

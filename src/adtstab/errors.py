@@ -7,7 +7,8 @@ class InputError(ValueError):
 
 class ConvergenceError(RuntimeError):
     """A truncated operator series failed to settle within its term cap, or a
-    series term, matrix exponential or simulated trajectory overflowed."""
+    series term, matrix exponential, monodromy, diffusive rate, jump
+    inequality or simulated trajectory overflowed."""
 
 
 class GenerationError(RuntimeError):

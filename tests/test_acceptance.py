@@ -61,8 +61,8 @@ def test_criterion_2_reference_certificate():
     radius_b = st.spectral_radius(REF_B)
     checks = [
         rep.certified,
-        rep.spectral_radius < rep.threshold,
-        abs(rep.threshold - np.e) < 1e-12,
+        np.log(rep.spectral_radius) < rep.log_threshold,
+        abs(np.exp(rep.log_threshold) - np.e) < 1e-12,
         rep.margin > 0.0,
         not rep.shifted_a_hurwitz,
         not rep.b_schur,
@@ -72,8 +72,8 @@ def test_criterion_2_reference_certificate():
     _report(
         2,
         all(checks),
-        f"certified={rep.certified}, radius {rep.spectral_radius:.6f} < "
-        f"threshold {rep.threshold:.6f}, margin {rep.margin:.6f}, "
+        f"certified={rep.certified}, log radius {np.log(rep.spectral_radius):.6f} < "
+        f"log threshold {rep.log_threshold:.6f}, margin {rep.margin:.6f}, "
         f"flow unstable and jump expanding (r(B) = {radius_b:.4f}), "
         f"{elapsed * 1e3:.0f} ms (budget 0.5 s)",
     )

@@ -73,14 +73,51 @@ def test_certify_invalid_jitter_exit2(ref_config_path, tmp_path, capsys):
 
 def test_certify_semigroup_overflow_exit2(ref_config_path, tmp_path, capsys):
     cfg = _patched_config(ref_config_path, tmp_path, {
-        "system.A": [300.0, 0.0, 0.0, -3.0],
+        "system.A": [800.0, 0.0, 0.0, -3.0],
         "system.B": [1e-300, 0.0, 0.0, 1.0],
-        "schedule.chi_max": 0.99,
     })
     out = tmp_path / "report.json"
     assert main(["certify", "--config", str(cfg), "--output", str(out)]) == 2
     assert not out.exists()
     assert "error: matrix exponential overflowed" in capsys.readouterr().err
+
+
+# Phi = B e^(theta A) overflows at B = diag(1e200, 1); (pi mu / ell)^2 at mu = 1e160
+CERTIFY_OVERFLOWS = {
+    "phi": ({"system.A": [300.0, 0.0, 0.0, -3.0], "system.B": [1e200, 0.0, 0.0, 1.0]},
+            "error: monodromy B e^(theta A) overflowed at theta = 1"),
+    "rate": ({"pde.mu": 1e160, "pde.ell": 1.0},
+             "error: diffusive rate times theta overflowed at mu = 1e+160, ell = 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CERTIFY_OVERFLOWS))
+def test_certify_overflow_exit2(ref_config_path, tmp_path, capsys, case):
+    patches, message = CERTIFY_OVERFLOWS[case]
+    cfg = _patched_config(ref_config_path, tmp_path, patches)
+    out = tmp_path / "report.json"
+    assert main(["certify", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("patches", [
+    {"pde.mu": 10.0, "pde.ell": 1.0},
+    {"system.A": [300.0, 0.0, 0.0, -3.0], "system.B": [1e-300, 0.0, 0.0, 1.0],
+     "schedule.chi_max": 0.99},
+], ids=["strong_diffusion", "fast_flow"])
+def test_certify_large_exponents_certified(ref_config_path, tmp_path, patches):
+    # exp(rate theta) and e^(t A) on [0, theta + 2 chi_max] leave float64 here,
+    # but nothing the verdict reads does
+    cfg = _patched_config(ref_config_path, tmp_path, patches)
+    out = tmp_path / "report.json"
+    assert main(["certify", "--config", str(cfg), "--output", str(out), "--quiet"]) == 0
+    doc = json.loads(out.read_text())
+    assert doc["certified"] is True
+    assert np.log(doc["spectral_radius"]) < doc["log_threshold"]
+    assert doc["margin"] > 0
 
 
 def test_certify_needs_pde_section(ref_config_path, tmp_path):
@@ -292,7 +329,7 @@ SUBCOMMANDS = ["certify", "simulate", "omega", "mr-check", "gen-times", "commuta
 
 # the first words of each subcommand's one-line summary on the bundled config
 SUMMARY_STARTS = {
-    "certify": "certified: spectral radius ",
+    "certify": "certified: spectral radius 0.665525 vs log threshold 1, margin 0.108483, ",
     "simulate": "659 samples, 29 impulses, final norm ",
     "omega": "omega = 0.1726",
     "mr-check": "residual ",

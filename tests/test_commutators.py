@@ -6,7 +6,6 @@ import pytest
 from adtstab import ConvergenceError, InputError
 from adtstab.commutators import (
     commutator_series,
-    convergence_margin,
     correction_bound,
     correction_terms,
     hadamard_series,
@@ -192,21 +191,6 @@ def test_lift_bound_rejects_bad_window(ref):
         lift_bound(ref.A, ref.B, 1.0, 1.0)
     with pytest.raises(InputError):
         lift_bound(ref.A, ref.B, 0.0, 0.0)
-
-
-def test_convergence_margin_reference(ref):
-    v = convergence_margin(ref.A, ref.B, ref.theta, ref.chi_max)
-    assert 0 < v < 1
-    assert v == pytest.approx(0.10556075063766152, rel=1e-9)
-
-
-def test_convergence_margin_zero_jitter(ref):
-    assert convergence_margin(ref.A, ref.B, ref.theta, 0.0) == 0.0
-
-
-def test_convergence_margin_commuting_pair():
-    A = np.array([[0.3, 1.0], [0.0, -0.2]])
-    assert convergence_margin(A, A, 1.0, 0.2) == 0.0
 
 
 # ||A|| * 2 chi_max ~ 100: the recurrence overflows float64 long before the

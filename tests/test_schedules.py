@@ -153,6 +153,31 @@ def test_validate_matches_definition(s):
     assert st.validate_schedule(s).passed == admissible
 
 
+@hs.composite
+def _parameters(draw):
+    theta = draw(hs.floats(0.05, 5.0))
+    chi_max = draw(hs.floats(0.0, 0.99)) * theta
+    return draw(hs.floats(-5.0, 5.0)), theta, chi_max, draw(hs.sampled_from([st.ADT, st.ADT_PLUS]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parameters(), hs.lists(hs.floats(-1.5, 1.5), min_size=1, max_size=8))
+def test_doc_roundtrip_property(params, chis):
+    s = st.ImpulseSchedule(*params, tuple(chis))
+    assert st.schedule_from_doc(json.loads(json.dumps(st.schedule_to_doc(s)))) == s
+    doc = {"theta": s.theta, "chi_max": s.chi_max, "variant": s.variant, "taus": list(s.taus)}
+    assert np.allclose(st.schedule_from_doc(doc).taus, s.taus, rtol=0.0, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_parameters(), hs.integers(1, 64), hs.integers(0, 2**32 - 1))
+def test_generate_output_validates(params, count, seed):
+    tau0, theta, chi_max, variant = params
+    s = st.generate_schedule(tau0, theta, chi_max, count, variant, seed)
+    assert len(s) == count and s.variant == variant
+    assert st.validate_schedule(s).passed
+
+
 def test_validate_flags_nonzero_initial_deviation():
     s = st.ImpulseSchedule(0.0, 1.0, 0.2, st.ADT, (0.1, 0.0))
     report = st.validate_schedule(s)
