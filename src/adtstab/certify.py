@@ -18,9 +18,11 @@ threshold leaves float64 still gets a finite report.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_lyapunov
 
 from .commutators import REL_TOL, correction_bound, lift_bound
 from .errors import ConvergenceError, InputError
@@ -166,30 +168,39 @@ class CertificateProblem:
         return out
 
     def margin(self, P0: np.ndarray) -> float:
-        """Smallest eigenvalue of P0 minus the left side."""
-        return min_eigenvalue_sym(P0 - self.lhs(P0))
+        """Smallest eigenvalue of P0 minus the left side, symmetrized.
 
-    def search(self, budget: int, seed: int) -> np.ndarray | None:
-        """Seeded random search for a P0 with positive inequality margin.
-
-        Trial zero is the identity; the rest are L^T L + 1e-6 id with L drawn
-        entrywise uniform on [-1, 1], each normalized to unit spectral norm.
-        Returns the first feasible candidate by index, or None.
+        The inequality compares quadratic forms, so only the symmetric part
+        enters; Phi^T P0 Phi is symmetric only up to rounding, which for a
+        large Stein P0 exceeds any fixed tolerance relative to the margin.
         """
-        if budget < 1:
-            raise InputError("budget must be >= 1")
+        S = P0 - self.lhs(P0)
+        return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+
+    def search(self) -> np.ndarray | None:
+        """P0 with positive margin: the identity, else the Stein solution, or None.
+
+        The Stein P0 solves P = d Phi^T P Phi + (E^T E + id) / ||E^T E + id||
+        (positive definite iff rho(sqrt(d) Phi) < 1), symmetrized and scaled to
+        unit 2-norm.  A solve that scipy flags as ill-conditioned or singular fails.
+        """
         n = self.A.shape[0]
-        rng = np.random.default_rng(seed)
-        for trial in range(int(budget)):
-            if trial == 0:
-                cand = np.eye(n)
-            else:
-                L = rng.uniform(-1.0, 1.0, size=(n, n))
-                cand = L.T @ L + 1e-6 * np.eye(n)
-                cand = cand / spectral_norm(cand)
-            if self.margin(cand) > 0.0:
-                return cand
-        return None
+        if self.margin(np.eye(n)) > 0.0:
+            return np.eye(n)
+        Q = self.E.T @ self.E + np.eye(n)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", LinAlgWarning)
+                P = solve_discrete_lyapunov(
+                    math.sqrt(self.discount) * self.phi.T, Q / spectral_norm(Q)
+                )
+        except (LinAlgWarning, LinAlgError):
+            return None
+        if not np.all(np.isfinite(P)):
+            return None
+        P = 0.5 * P + 0.5 * P.T  # halves first: a sum near the float64 limit overflows
+        P = P / spectral_norm(P)
+        return P if min_eigenvalue_sym(P) > 0.0 and self.margin(P) > 0.0 else None
 
     def evaluate(self, p0=None) -> CertificateReport:
         """Certificate verdict and diagnostics for P0 (identity by default).
@@ -260,5 +271,6 @@ def search_p0(
     budget: int = 32,
     seed: int = 0,
 ) -> np.ndarray | None:
-    """Seeded random search for a P0 (see CertificateProblem.search)."""
-    return CertificateProblem(A, B, theta, chi_max, mu, ell).search(budget, seed)
+    """CertificateProblem.search at one point; budget and seed are accepted
+    for existing callers and have no effect."""
+    return CertificateProblem(A, B, theta, chi_max, mu, ell).search()

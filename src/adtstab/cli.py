@@ -58,10 +58,32 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
-def _matrix(sec: dict, key: str, n: int) -> np.ndarray:
-    if key not in sec:
-        raise InputError(f"system section missing matrix {key!r}")
-    arr = np.asarray(sec[key], dtype=float)
+def _values(sec: dict, name: str, *keys: str, kind=float, default=None) -> list:
+    """The keys of the config section called name, each coerced by kind.
+
+    default stands in for a missing key.  A key missing without a default,
+    or a value that kind rejects, raises InputError naming name.key.
+    """
+    out = []
+    for key in keys:
+        if key not in sec and default is not None:
+            out.append(default)
+            continue
+        try:
+            out.append(kind(sec[key]))
+        except KeyError:
+            raise InputError(f"{name} section missing {key!r}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"{name}.{key} has an invalid value {sec[key]!r}") from None
+    return out
+
+
+def _float_array(value) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _matrix(sec: dict, name: str, key: str, n: int) -> np.ndarray:
+    (arr,) = _values(sec, name, key, kind=_float_array)
     if arr.ndim == 1:
         if arr.size != n * n:
             raise InputError(f"matrix {key!r} must have {n * n} entries, got {arr.size}")
@@ -73,51 +95,50 @@ def _matrix(sec: dict, key: str, n: int) -> np.ndarray:
 
 def _config_system(cfg: dict) -> ImpulsiveSystem:
     sec = _section(cfg, "system")
-    try:
-        n = int(sec["n"])
-    except KeyError:
-        raise InputError("system section missing 'n'") from None
-    return ImpulsiveSystem(A=_matrix(sec, "A", n), B=_matrix(sec, "B", n))
+    (n,) = _values(sec, "system", "n", kind=int)
+    if n < 1:
+        raise InputError(f"system.n must be >= 1, got {n}")
+    return ImpulsiveSystem(A=_matrix(sec, "system", "A", n), B=_matrix(sec, "system", "B", n))
+
+
+def _seed(sec: dict, name: str, seed_override: int | None) -> int:
+    """The --seed override, else the section's seed (default 0); seeds are >= 0."""
+    seed = seed_override
+    if seed is None:
+        (seed,) = _values(sec, name, "seed", kind=int, default=0)
+    if seed < 0:
+        raise InputError(f"seeds must be >= 0, got {seed}")
+    return seed
 
 
 def _config_schedule(cfg: dict, seed_override: int | None) -> ImpulseSchedule:
     sec = _section(cfg, "schedule")
     if "chis" in sec or "taus" in sec:
         return schedule_from_doc(sec)
-    try:
-        count = int(sec["count"])
-    except KeyError:
+    if "count" not in sec:
         raise InputError(
             "schedule section needs 'chis'/'taus' or generator parameters with 'count'"
-        ) from None
-    seed = int(sec.get("seed", 0)) if seed_override is None else seed_override
+        )
+    tau0, theta, chi_max = _values(sec, "schedule", "tau0", "theta", "chi_max", default=0.0)
     return generate(
-        tau0=float(sec.get("tau0", 0.0)),
-        theta=float(sec.get("theta", 0.0)),
-        chi_max=float(sec.get("chi_max", 0.0)),
-        count=count,
+        tau0=tau0,
+        theta=theta,
+        chi_max=chi_max,
+        count=_values(sec, "schedule", "count", kind=int)[0],
         variant=sec.get("variant", "adt"),
-        seed=seed,
+        seed=_seed(sec, "schedule", seed_override),
     )
-
-
-def _floats(sec: dict, name: str, *keys: str) -> list[float]:
-    """Read the required keys of the config section called name as floats."""
-    try:
-        return [float(sec[key]) for key in keys]
-    except KeyError as exc:
-        raise InputError(f"{name} section missing {exc.args[0]!r}") from None
 
 
 def _config_model(cfg: dict, system: ImpulsiveSystem) -> ParabolicModel:
     sec = _section(cfg, "pde")
-    mu, ell = _floats(sec, "pde", "mu", "ell")
+    mu, ell = _values(sec, "pde", "mu", "ell")
     return ParabolicModel(
         A=system.A,
         B=system.B,
         mu=mu,
         ell=ell,
-        n_modes=int(sec.get("n_modes", 1)),
+        n_modes=_values(sec, "pde", "n_modes", kind=int, default=1)[0],
     )
 
 
@@ -130,53 +151,40 @@ def _run(cfg: dict) -> dict:
     return sec
 
 
-def _run_seed(run: dict, seed_override: int | None) -> int:
-    return int(run.get("seed", 0)) if seed_override is None else seed_override
-
-
 def _initial(run: dict, key: str, shape, seed: int, norm) -> np.ndarray:
     """run[key], or standard-normal data of this shape drawn from seed and
     divided by its norm."""
     if key in run:
-        return np.asarray(run[key], dtype=float)
+        return _values(run, "run", key, kind=_float_array)[0]
     v = np.random.default_rng(seed).standard_normal(shape)
     return v / norm(v)
 
 
 def cmd_certify(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     model = _config_model(cfg, _config_system(cfg))
-    theta, chi_max = _floats(_section(cfg, "schedule"), "schedule", "theta", "chi_max")
+    theta, chi_max = _values(_section(cfg, "schedule"), "schedule", "theta", "chi_max")
     run = _run(cfg)
-    seed = _run_seed(run, seed_override)
 
     problem = CertificateProblem(model.A, model.B, theta, chi_max, model.mu, model.ell)
-    search_meta = {"attempted": False, "found": False, "budget": 0}
     if "p0" in run:
-        p0 = _matrix({"p0": run["p0"]}, "p0", model.n)
+        p0 = _matrix(run, "run", "p0", model.n)
     else:
-        budget = int(run.get("budget", 32))
-        p0 = problem.search(budget, seed)
-        search_meta = {"attempted": True, "found": p0 is not None, "budget": budget}
-        if p0 is None:
-            p0 = np.eye(model.n)  # inconclusive: report the identity's margin
-
+        p0 = problem.search()  # None: report the identity's margin
     report = problem.evaluate(p0)
-    doc = report.to_doc()
-    doc["p0_search"] = search_meta
     verdict = "certified" if report.certified else "not certified"
     summary = (
         f"{verdict}: spectral radius {report.spectral_radius:.6g} vs log threshold "
         f"{report.log_threshold:.6g}, margin {report.margin:.6g}, omega {report.omega:.6g}"
     )
-    return dumps(doc), summary, 0 if report.certified else 1
+    return dumps(report.to_doc()), summary, 0 if report.certified else 1
 
 
 def cmd_simulate(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
     schedule = _config_schedule(cfg, seed_override)
     run = _run(cfg)
-    t_end, sample_dt = _floats(run, "run", "t_end", "sample_dt")
-    seed = _run_seed(run, seed_override)
+    t_end, sample_dt = _values(run, "run", "t_end", "sample_dt")
+    seed = _seed(run, "run", seed_override)
 
     if "pde" in cfg:
         model = _config_model(cfg, system)
@@ -185,7 +193,7 @@ def cmd_simulate(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
         )
         traj = simulate_parabolic(model, schedule, init, t_end, sample_dt)
         if "per_mode_dir" in run:
-            out_dir = Path(run["per_mode_dir"])
+            (out_dir,) = _values(run, "run", "per_mode_dir", kind=Path)
             out_dir.mkdir(parents=True, exist_ok=True)
             for j in range(1, model.n_modes + 1):
                 (out_dir / f"mode_{j:03d}.csv").write_text(
@@ -204,7 +212,7 @@ def cmd_simulate(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
 
 def cmd_omega(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
-    (chi_max,) = _floats(_section(cfg, "schedule"), "schedule", "chi_max")
+    (chi_max,) = _values(_section(cfg, "schedule"), "schedule", "chi_max")
     _run(cfg)  # rejects a malformed run section or another run.rel_tol
     rows = correction_terms(system.A, system.B, chi_max)
     omega = sum(r.contribution for r in rows)
@@ -217,8 +225,8 @@ def cmd_mr_check(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
     schedule = _config_schedule(cfg, seed_override)
     run = _run(cfg)
-    K = int(run.get("k", 20))
-    x0 = _initial(run, "x0", system.n, _run_seed(run, seed_override), np.linalg.norm)
+    (K,) = _values(run, "run", "k", kind=int, default=20)
+    x0 = _initial(run, "x0", system.n, _seed(run, "run", seed_override), np.linalg.norm)
     residual = matching_residual(system, schedule, x0, K)
     ok = residual <= MR_TOL
     text = (
@@ -237,7 +245,7 @@ def cmd_gen_times(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
 
 def cmd_commutators(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
-    m_max = int(_run(cfg).get("m_max", 10))
+    (m_max,) = _values(_run(cfg), "run", "m_max", kind=int, default=10)
     seq = nested_commutators(system.A, system.B, m_max)
     lines = ["m,norm"] + [f"{m},{fmt(v)}" for m, v in enumerate(seq.norms)]
     return "\n".join(lines) + "\n", f"computed nested commutators up to order {m_max}", 0

@@ -12,4 +12,4 @@ class ConvergenceError(RuntimeError):
 
 
 class GenerationError(RuntimeError):
-    """Schedule generation exhausted its retry budget."""
+    """Schedule generation ran out of retries."""

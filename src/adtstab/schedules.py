@@ -225,25 +225,27 @@ def schedule_from_doc(doc: dict) -> ImpulseSchedule:
     """
     if not isinstance(doc, dict):
         raise InputError("schedule document must be a JSON object")
+    variant = doc.get("variant", ADT)
     try:
         theta = float(doc["theta"])
         chi_max = float(doc["chi_max"])
+        if "chis" in doc:
+            chis = [float(c) for c in doc["chis"]]
+            tau0 = float(doc["tau0"])
+        elif "taus" in doc:
+            taus = [float(t) for t in doc["taus"]]
+            if not taus:
+                raise InputError("schedule document has an empty 'taus' list")
+            tau0 = float(doc.get("tau0", taus[0]))
+            chis = [t - tau0 - k * theta for k, t in enumerate(taus)]
+        else:
+            raise InputError("schedule document needs either 'chis' or 'taus'")
     except KeyError as exc:
         raise InputError(f"schedule document missing key {exc.args[0]!r}") from None
-    variant = doc.get("variant", ADT)
-    if "chis" in doc:
-        chis = [float(c) for c in doc["chis"]]
-        if "tau0" not in doc:
-            raise InputError("schedule document missing key 'tau0'")
-        tau0 = float(doc["tau0"])
-    elif "taus" in doc:
-        taus = [float(t) for t in doc["taus"]]
-        if not taus:
-            raise InputError("schedule document has an empty 'taus' list")
-        tau0 = float(doc.get("tau0", taus[0]))
-        chis = [t - tau0 - k * theta for k, t in enumerate(taus)]
-    else:
-        raise InputError("schedule document needs either 'chis' or 'taus'")
+    except InputError:
+        raise  # an InputError is a ValueError; keep its own message
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"schedule document has a value that is not a number: {exc}") from None
     if not chis:
         raise InputError("schedule document has an empty 'chis' list")
     _check_params(tau0, theta, chi_max, variant)

@@ -126,16 +126,28 @@ def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
 FLOW_BLOCK = 256
 
 
-def _trajectory(times, states, norms, jump_rows) -> Trajectory:
-    """Assemble a Trajectory; a norm that overflowed raises ConvergenceError
-    naming its time."""
-    norms = np.asarray(norms)
+def _rescaled(norms: np.ndarray, states: np.ndarray, norm_of) -> np.ndarray:
+    """norms[i] = norm_of(states[i]), with each one that overflowed although
+    its state is finite recomputed as s * norm_of(x / s), s = max |x|; both
+    norms are homogeneous, so this is the same norm without the overflow."""
+    for i in np.flatnonzero(~np.isfinite(norms)):
+        x = states[i]
+        if np.all(np.isfinite(x)):
+            s = np.max(np.abs(x))
+            norms[i] = s * norm_of(x / s)
+    return norms
+
+
+def _trajectory(times, states, norms, jump_rows, norm_of) -> Trajectory:
+    """Assemble a Trajectory; a norm that overflows even after rescaling
+    (see _rescaled) raises ConvergenceError naming its time."""
+    states = np.asarray(states)
+    with np.errstate(over="ignore"):
+        norms = _rescaled(np.asarray(norms, dtype=float), states, norm_of)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise ConvergenceError(f"trajectory norm overflowed at t = {times[bad[0]]:g}")
-    return Trajectory(
-        np.asarray(times), np.asarray(states), norms, np.asarray(jump_rows, dtype=int)
-    )
+    return Trajectory(np.asarray(times), states, norms, np.asarray(jump_rows, dtype=int))
 
 
 def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norm_of) -> Trajectory:
@@ -181,7 +193,7 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norm_of
                     norms.append(norm_of(post))
                     jump_rows.append(len(times) - 1)
                     seg_t, seg_x = t, post
-    return _trajectory(times, states, norms, jump_rows)
+    return _trajectory(times, states, norms, jump_rows, norm_of)
 
 
 def _jump_times(schedule: ImpulseSchedule, t_end: float, sample_dt: float) -> list[float]:
@@ -256,7 +268,7 @@ def simulate_comparison(
             states.append(z)
             jump_rows.append(len(times) - 1)
         norms = np.linalg.norm(states, axis=1)
-    return _trajectory(times, states, norms, jump_rows)
+    return _trajectory(times, states, norms, jump_rows, np.linalg.norm)
 
 
 def matching_residual(
@@ -371,11 +383,12 @@ def mode_csv(traj: Trajectory, j: int) -> str:
         raise InputError(f"mode index {j} outside 1..{n_modes}")
     post = np.zeros(len(traj.times), dtype=int)
     post[traj.jump_indices] = 1
-    n = traj.states.shape[2]
-    lines = ["t,norm,is_post_jump," + ",".join(f"c_{i}" for i in range(n))]
+    C = traj.states[:, j - 1]
+    with np.errstate(over="ignore"):
+        norms = _rescaled(np.array([np.linalg.norm(c) for c in C]), C, np.linalg.norm)
+    lines = ["t,norm,is_post_jump," + ",".join(f"c_{i}" for i in range(C.shape[1]))]
     for i, t in enumerate(traj.times):
-        c = traj.states[i, j - 1]
-        row = [fmt(t), fmt(float(np.linalg.norm(c))), str(post[i])]
-        row += [fmt(v) for v in c]
+        row = [fmt(t), fmt(float(norms[i])), str(post[i])]
+        row += [fmt(v) for v in C[i]]
         lines.append(",".join(row))
     return "\n".join(lines) + "\n"

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -231,20 +233,125 @@ def test_search_p0_returns_none_when_infeasible():
     assert found is None
 
 
-def test_search_p0_deterministic():
+def test_search_p0_seed_has_no_effect():
     A = np.array([[0.0, 12.0], [0.0, 0.0]])
     B = np.diag([0.3, 0.3])
     f1 = st.search_p0(A, B, 1.0, 0.0, 1.0, float(np.pi), budget=32, seed=7)
-    f2 = st.search_p0(A, B, 1.0, 0.0, 1.0, float(np.pi), budget=32, seed=7)
-    if f1 is None:
-        assert f2 is None
-    else:
-        assert np.array_equal(f1, f2)
+    f2 = st.search_p0(A, B, 1.0, 0.0, 1.0, float(np.pi), budget=1, seed=8)
+    assert f1 is not None
+    assert np.array_equal(f1, f2)
 
 
-def test_search_p0_budget_validation(ref):
-    with pytest.raises(st.InputError):
-        st.search_p0(ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell, budget=0)
+def _numpy_margin(A, B, theta, mu, ell, omega, P):
+    """Margin of the discounted jump inequality, from its definition."""
+    E = scipy.linalg.expm(theta * A)
+    phi = B @ E
+    d = np.exp(-2.0 * (np.pi * mu / ell) ** 2 * theta)
+    mixed = max(np.linalg.norm(B @ P, 2), np.linalg.norm(B.T @ P, 2))
+    lhs = d * phi.T @ P @ phi + d * (2 * omega * mixed + omega**2 * np.linalg.norm(P, 2)) * E.T @ E
+    gap = P - lhs
+    return np.linalg.eigvalsh(0.5 * (gap + gap.T))[0]
+
+
+def test_stein_search_certifies_wherever_random_search_does(ref):
+    # a seeded random search in numpy: the identity, then 31 candidates
+    # L^T L + 1e-6 id with L uniform on [-1, 1], scaled to unit 2-norm
+    rng = np.random.default_rng(0)
+    candidates = [np.eye(2)]
+    for _ in range(31):
+        L = rng.uniform(-1.0, 1.0, (2, 2))
+        P = L.T @ L + 1e-6 * np.eye(2)
+        candidates.append(P / np.linalg.norm(P, 2))
+    ell, identity_hits, random_hits, stein_hits = 2.0 * np.pi, 0, 0, 0
+    for theta in np.linspace(0.2, 2.5, 10):
+        for ratio in np.linspace(0.0, 0.45, 8):
+            chi = ratio * theta
+            omega = st.correction_bound(ref.A, ref.B, chi)
+            found = st.search_p0(ref.A, ref.B, theta, chi, ref.mu, ell)
+            if found is not None:
+                stein_hits += 1
+                rep = st.evaluate_certificate(ref.A, ref.B, theta, chi, ref.mu, ell, p0=found)
+                assert rep.certified
+                assert _numpy_margin(ref.A, ref.B, theta, ref.mu, ell, omega, found) > 0
+            margins = [_numpy_margin(ref.A, ref.B, theta, ref.mu, ell, omega, P) for P in candidates]
+            identity_hits += margins[0] > 0
+            if max(margins) > 0:
+                random_hits += 1
+                assert found is not None, (theta, chi)
+    # the grid tells the three apart: 16, 17 and 21 cells
+    assert 0 < identity_hits < random_hits < stein_hits
+
+
+def test_stein_p0_solves_the_scaled_stein_equation():
+    # strong shear: the identity fails, so the Stein solution is returned
+    A = np.array([[0.0, 12.0], [0.0, 0.0]])
+    B = np.diag([0.3, 0.3])
+    P = st.CertificateProblem(A, B, 1.0, 0.0, 1.0, float(np.pi)).search()
+    assert np.array_equal(P, P.T)
+    assert np.linalg.eigvalsh(P)[0] > 0
+    assert np.linalg.norm(P, 2) == pytest.approx(1.0, rel=1e-12)
+    E = scipy.linalg.expm(A)
+    phi = B @ E
+    Q = E.T @ E + np.eye(2)
+    R = P - np.exp(-2.0) * phi.T @ P @ phi
+    c = R[0, 0] / Q[0, 0]
+    assert c > 0
+    assert np.allclose(R, c * Q, rtol=1e-10, atol=1e-12 * c)
+
+
+# A = 0, theta = 1, chi_max = 0, mu = 1, ell = pi: sqrt(d) Phi = B / e, and
+# each Stein solve below is one that scipy flags as ill-conditioned
+C15, C12 = np.e * (1.0 - 1e-15), np.e * (1.0 - 1e-12)
+ILL_CONDITIONED = {
+    "huge_coupling": np.array([[0.1, 1e150, 0.0], [0.0, 0.1, 1e150], [0.0, 0.0, 0.1]]),
+    "near_boundary": np.array([[C15, 5.0], [0.0, 0.1]]),
+    "jordan_near_boundary": np.array([[C12, 1.0], [0.0, C12]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ILL_CONDITIONED))
+def test_ill_conditioned_stein_solve_proposes_nothing(case):
+    B = ILL_CONDITIONED[case]
+    problem = st.CertificateProblem(np.zeros_like(B), B, 1.0, 0.0, 1.0, float(np.pi))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert problem.search() is None
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-9, 1e-11])
+def test_stein_search_certifies_close_to_the_boundary(gap):
+    # rho(sqrt(d) Phi) = 1 - gap: well posed enough to solve, and certified;
+    # P0 - d Phi^T P0 Phi is then asymmetric by rounding far beyond any
+    # tolerance relative to the margin, so only its symmetric part is read
+    B = np.array([[np.e * (1.0 - gap), 5.0], [0.0, 0.1]])
+    A, ell = np.zeros((2, 2)), float(np.pi)
+    problem = st.CertificateProblem(A, B, 1.0, 0.0, 1.0, ell)
+    assert problem.margin(np.eye(2)) < 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        P = problem.search()
+    assert problem.evaluate(P).certified
+    assert _numpy_margin(A, B, 1.0, 1.0, ell, 0.0, P) > 0
+
+
+def test_stein_search_scales_its_right_side():
+    # E^T E = e^704 id: the unscaled solution leaves float64, the scaled one
+    # is the A = 0 solution for the same Phi
+    B0 = np.array([[np.e * (1.0 - 1e-4), 5.0], [0.0, 0.1]])
+    ell = float(np.pi)
+    P0 = st.CertificateProblem(np.zeros((2, 2)), B0, 1.0, 0.0, 1.0, ell).search()
+    P = st.CertificateProblem(352.0 * np.eye(2), B0 * np.exp(-352.0), 1.0, 0.0, 1.0, ell).search()
+    assert P is not None
+    assert np.allclose(P, P0, rtol=1e-6)
+
+
+def test_stein_search_with_huge_flow_and_jitter_finds_nothing():
+    # omega times e^(theta A)^T e^(theta A) swamps the Stein candidate
+    A = np.diag([352.0, -3.0])
+    B = np.array([[0.9999 * np.e * np.exp(-352.0), 1e-3], [0.0, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert st.search_p0(A, B, 1.0, 0.001, 1.0, float(np.pi)) is None
 
 
 def test_commutator_overflow_raises_convergence_error(ref):

@@ -230,7 +230,11 @@ def test_doc_missing_fields():
         st.schedule_from_doc({"theta": 1.0})
     with pytest.raises(st.InputError):
         st.schedule_from_doc({"theta": 1.0, "chi_max": 0.1, "chis": [0.0]})
-    with pytest.raises(st.InputError):
+    with pytest.raises(st.InputError, match="^schedule document needs either 'chis' or 'taus'$"):
         st.schedule_from_doc({"tau0": 0.0, "theta": 1.0, "chi_max": 0.1})
-    with pytest.raises(st.InputError):
+    with pytest.raises(st.InputError, match="^schedule document has an empty 'taus' list$"):
         st.schedule_from_doc({"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "taus": []})
+    with pytest.raises(st.InputError, match="^schedule document has a value that is not a number"):
+        st.schedule_from_doc({"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "chis": "abc"})
+    with pytest.raises(st.InputError, match="^schedule document has a value that is not a number"):
+        st.schedule_from_doc({"tau0": 0.0, "theta": None, "chi_max": 0.1, "chis": [0.0]})

@@ -357,3 +357,43 @@ def test_modal_blocks_share_one_check(ref_model):
         st.l2_norm(ref_model, bad)
     with pytest.raises(st.InputError, match="^init_modes have non-finite entries$"):
         st.simulate_parabolic(ref_model, sched, bad, 2.0, 0.5)
+
+
+# A = 0 and B = 1e200 id: the first jump takes [3, 4] to [3e200, 4e200], a
+# finite state whose squared entries leave float64; the second jump is at
+# taus[2] > 1.8, so a run to t = 1.5 stays finite
+HUGE_JUMP = 1e200 * np.eye(2)
+
+
+def test_ode_norm_of_huge_finite_state():
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 10, st.ADT, seed=0)
+    system = st.ImpulsiveSystem(A=np.zeros((2, 2)), B=HUGE_JUMP)
+    traj = st.simulate_ode(system, sched, [3.0, 4.0], 1.5, 0.5)
+    assert len(traj.jump_indices) == 1
+    assert traj.post_jump_norms[0] == pytest.approx(5e200, rel=1e-15)
+    assert np.all(traj.norms[: traj.jump_indices[0]] == 5.0)
+
+
+def test_comparison_norm_of_huge_finite_state():
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 10, st.ADT, seed=0)
+    system = st.ImpulsiveSystem(A=np.zeros((2, 2)), B=HUGE_JUMP)
+    traj = st.simulate_comparison(system, sched, [3.0, 4.0], 1)
+    assert traj.norms[:2].tolist() == [5.0, 5.0]
+    assert traj.norms[2] == pytest.approx(5e200, rel=1e-15)
+
+
+def test_parabolic_norm_of_huge_finite_state():
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 10, st.ADT, seed=0)
+    model = st.ParabolicModel(A=np.zeros((2, 2)), B=HUGE_JUMP, mu=1.0, ell=np.pi, n_modes=3)
+    traj = st.simulate_parabolic(model, sched, np.ones((3, 2)), 1.5, 0.5)
+    (post,) = traj.jump_indices
+    assert traj.norms[post] == pytest.approx(1e200 * traj.norms[post - 1], rel=1e-14)
+    assert np.all(np.isfinite(traj.norms))
+
+
+def test_mode_csv_norm_of_huge_finite_state():
+    states = np.array([[[3.0, 4.0]], [[3e200, 4e200]]])
+    traj = st.Trajectory(np.array([0.0, 1.0]), states, np.array([5.0, 5e200]), np.array([1]))
+    rows = [line.split(",") for line in st.mode_csv(traj, 1).splitlines()[1:]]
+    assert rows[0][1] == "5"
+    assert float(rows[1][1]) == pytest.approx(5e200, rel=1e-15)
