@@ -18,6 +18,7 @@ from .commutators import (
     CommutatorSequence,
     SeriesTerm,
     commutator_series,
+    commutator_series_stack,
     correction_bound,
     correction_terms,
     hadamard_series,
@@ -78,6 +79,7 @@ __all__ = [
     "ValidationReport",
     "check_spd",
     "commutator_series",
+    "commutator_series_stack",
     "comparison_jump",
     "correction_bound",
     "correction_terms",

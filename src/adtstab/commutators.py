@@ -11,6 +11,12 @@ bounds built from it.  All series share one stopping rule (three consecutive
 terms below REL_TOL times the running sum, hard cap at TERM_CAP terms) so
 that quantities derived from the same data truncate consistently.  Overflow
 anywhere in a series raises ConvergenceError, without a RuntimeWarning.
+
+Matrix series are summed for a whole stack of arguments s_1..s_k at once
+(commutator_series_stack): {B, A^m} is formed once, weighted by each
+s_i^m/m!, and each s_i stops by its own count of quiet terms, so its sum
+has the bits a series for s_i alone would have.  commutator_series is a
+stack of one.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ __all__ = [
     "SeriesTerm",
     "nested_commutators",
     "commutator_series",
+    "commutator_series_stack",
     "hadamard_series",
     "correction_terms",
     "correction_bound",
@@ -42,10 +49,23 @@ __all__ = [
 ]
 
 
+def _norms2(stack: np.ndarray) -> np.ndarray:
+    """Operator 2-norms of a stack of matrices; inf for one with a
+    non-finite entry.
+
+    The 2-norm is the largest singular value, which LAPACK returns first,
+    so this has the bits of np.linalg.norm(M, 2) without its overhead.
+    """
+    finite = np.all(np.isfinite(stack), axis=(1, 2))
+    if finite.all():
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    norms = np.full(len(stack), np.inf)
+    norms[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
+    return norms
+
+
 def _norm2(M: np.ndarray) -> float:
-    if not np.all(np.isfinite(M)):
-        return float("inf")
-    return float(np.linalg.norm(M, 2))
+    return float(_norms2(M[None])[0])
 
 
 @dataclass(frozen=True)
@@ -92,8 +112,8 @@ def _weighted(A: np.ndarray, B: np.ndarray, s: float, start: int = 0):
 
 
 def _truncated_sum(terms, label: str):
-    """Sum scalar or matrix terms until _QUIET_NEEDED consecutive ones are at
-    most REL_TOL times the running sum (matrices compared by 2-norm).
+    """Sum scalar terms until _QUIET_NEEDED consecutive ones are at most
+    REL_TOL times the running sum in magnitude.
 
     Returns the sum and the number of terms used.
     """
@@ -102,12 +122,11 @@ def _truncated_sum(terms, label: str):
     quiet = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for used, value in enumerate(terms, 1):
-            size = _norm2 if isinstance(value, np.ndarray) else abs
-            magnitude = size(value)
+            magnitude = abs(value)
             if not np.isfinite(magnitude):
                 raise ConvergenceError(f"{label}: series term overflowed")
             total = value if total is None else total + value
-            if magnitude <= REL_TOL * size(total):
+            if magnitude <= REL_TOL * abs(total):
                 quiet += 1
                 if quiet >= _QUIET_NEEDED:
                     return total, used
@@ -133,15 +152,57 @@ def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
     return CommutatorSequence(A=A, B=B, terms=terms, norms=norms)
 
 
-def commutator_series(A, B, s: float, start: int = 0) -> np.ndarray:
-    """Truncated sum of s^m/m! * {B, A^m} over m >= start."""
+def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated sums of s_i^m/m! * {B, A^m} over m >= start for a 1-D stack s.
+
+    {B, A^m} is formed once for the whole stack.  Each s_i keeps its own
+    running sum, started from its first term, and its own count of quiet
+    terms (2-norm at most REL_TOL times that of its sum), and retires when
+    the count reaches _QUIET_NEEDED.  Returns the sums, shape (k, n, n), and
+    the number of terms each s_i used.
+    """
     A, B = as_pair(A, B)
-    if not np.isfinite(s):
+    s = np.asarray(s, dtype=float)
+    if s.ndim != 1:
+        raise InputError("series arguments must form a 1-D stack")
+    if not np.all(np.isfinite(s)):
         raise InputError("series argument must be finite")
     if start not in (0, 1):
         raise InputError("start must be 0 or 1")
-    terms = (coeff * T for _m, coeff, T in _weighted(A, B, float(s), start))
-    return _truncated_sum(terms, "commutator series")[0]
+    sums = np.empty((s.size,) + B.shape)
+    used = np.zeros(s.size, dtype=int)
+    live = np.arange(s.size)  # original index of each s still summing
+    coeff = np.ones(s.size)
+    quiet = np.zeros(s.size, dtype=int)
+    total = magnitude = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, T in zip(range(TERM_CAP + 1), _commutators(A, B)):
+            if m >= start:
+                value = coeff[:, None, None] * T
+                magnitude = _norms2(value)
+                if not np.all(np.isfinite(magnitude)):
+                    raise ConvergenceError("commutator series: series term overflowed")
+                total = value if total is None else total + value
+                quiet = np.where(magnitude <= REL_TOL * _norms2(total), quiet + 1, 0)
+                done = quiet >= _QUIET_NEEDED
+                if done.any():
+                    sums[live[done]] = total[done]
+                    used[live[done]] = m + 1 - start
+                    keep = ~done
+                    live, coeff, quiet = live[keep], coeff[keep], quiet[keep]
+                    total, magnitude = total[keep], magnitude[keep]
+            if not live.size:
+                return sums, used
+            coeff *= s[live] / (m + 1)
+    raise ConvergenceError(
+        f"commutator series: no convergence within {TERM_CAP} terms "
+        f"(last term magnitude {magnitude[0]:.3e})"
+    )
+
+
+def commutator_series(A, B, s: float, start: int = 0) -> np.ndarray:
+    """Truncated sum of s^m/m! * {B, A^m} over m >= start."""
+    return commutator_series_stack(A, B, [s], start)[0][0]
 
 
 def hadamard_series(A, B, t: float) -> np.ndarray:

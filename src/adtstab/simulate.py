@@ -16,11 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .commutators import commutator_series_stack
 from .errors import ConvergenceError, InputError
 from .linalg import as_vector, check_positive, expm
 from .schedules import ADT, ImpulseSchedule, require_valid
 from .serialize import fmt
-from .systems import ImpulsiveSystem, comparison_jump, lifted_initial
+from .systems import ImpulsiveSystem, _deviation_span, lifted_initial
 
 __all__ = [
     "Trajectory",
@@ -239,7 +240,9 @@ def simulate_comparison(
     """Evolve the comparison system on the uniform grid for K periods.
 
     The jump at k*theta uses the upcoming deviation chi_{k+1}, so the
-    schedule must carry deviations up to index K + 1.
+    schedule must carry deviations up to index K + 1.  Its corrections come
+    from one stacked commutator series per FLOW_BLOCK jumps, with the bits
+    of comparison_jump(...).G for each jump alone.
     """
     require_valid(schedule)
     if K < 1:
@@ -251,6 +254,10 @@ def simulate_comparison(
         )
     z0 = as_vector(z0, system.n)
     theta = schedule.theta
+    spans = [
+        _deviation_span(chi, schedule.chi_max, schedule.variant)
+        for chi in schedule.chis[2:int(K) + 2]
+    ]
     E = expm(system.A, theta)
 
     times = [0.0]
@@ -258,15 +265,18 @@ def simulate_comparison(
     jump_rows = []
     z = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, int(K) + 1):
-            pre = E @ z
-            times.append(k * theta)
-            states.append(pre)
-            cj = comparison_jump(system, schedule.chis[k + 1], schedule.chi_max, schedule.variant)
-            z = cj.J @ pre
-            times.append(k * theta)
-            states.append(z)
-            jump_rows.append(len(times) - 1)
+        for first in range(0, len(spans), FLOW_BLOCK):
+            G = commutator_series_stack(
+                system.A, system.B, spans[first:first + FLOW_BLOCK], start=1
+            )[0]
+            for k, J in enumerate(system.B + G, start=first + 1):
+                pre = E @ z
+                times.append(k * theta)
+                states.append(pre)
+                z = J @ pre
+                times.append(k * theta)
+                states.append(z)
+                jump_rows.append(len(times) - 1)
         norms = np.linalg.norm(states, axis=1)
     return _trajectory(times, states, norms, jump_rows, np.linalg.norm)
 

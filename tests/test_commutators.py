@@ -1,11 +1,15 @@
+import warnings
 from math import factorial
 
 import numpy as np
 import pytest
 
-from adtstab import ConvergenceError, InputError
+from adtstab import ADT, ADT_PLUS, ConvergenceError, InputError, generate_schedule
 from adtstab.commutators import (
+    REL_TOL,
+    TERM_CAP,
     commutator_series,
+    commutator_series_stack,
     correction_bound,
     correction_terms,
     hadamard_series,
@@ -223,3 +227,73 @@ def test_series_overflow_raises_convergence_error(ref):
         lift_bound(STIFF_A, ref.B, 1.0, 0.9)
     with pytest.raises(ConvergenceError, match="commutator series: series term overflowed"):
         hadamard_series(STIFF_A, ref.B, 1.8)
+
+
+def _reference_series(A, B, s, start):
+    """Sum of s^m/m! {B, A^m} for one s, stopped after three consecutive
+    terms whose 2-norm is at most REL_TOL times that of the running sum;
+    returns the sum and the number of terms used."""
+    term, coeff, total, quiet = B, 1.0, None, 0
+    for m in range(TERM_CAP + 1):
+        if m >= start:
+            value = coeff * term
+            total = value if total is None else total + value
+            small = np.linalg.norm(value, 2) <= REL_TOL * np.linalg.norm(total, 2)
+            quiet = quiet + 1 if small else 0
+            if quiet == 3:
+                return total, m + 1 - start
+        term = term @ A - A @ term
+        coeff *= s / (m + 1)
+    raise AssertionError(f"reference series for s = {s} did not stop")
+
+
+def _span_stack(rng, theta, chi_max):
+    """Series arguments of both variants' jumps on seeded schedules, plus
+    s = 0, a negative s and a repeated s.
+
+    With start = 1, s = 0 sums 0 * {B, A^m}: -0.0 wherever the commutator
+    is negative, which a sum started from +0.0 would turn into +0.0.
+    """
+    spans = []
+    for variant, offset in ((ADT, chi_max), (ADT_PLUS, 0.0)):
+        sched = generate_schedule(0.0, theta, chi_max, 10, variant, int(rng.integers(1000)))
+        spans += [offset + chi for chi in sched.chis[1:]]
+    return [0.0] + spans + [-0.7 * chi_max, spans[3]]
+
+
+@pytest.mark.parametrize("start", [0, 1])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_series_stack_is_bitwise_the_per_argument_loop(n, start):
+    rng = np.random.default_rng(40 + n)
+    A = rng.uniform(-1, 1, (n, n))
+    B = rng.uniform(-1, 1, (n, n))
+    spans = _span_stack(rng, theta=1.0, chi_max=0.4)
+    sums, used = commutator_series_stack(A, B, spans, start)
+    assert sums.shape == (len(spans), n, n)
+    for i, s in enumerate(spans):
+        expected, terms = _reference_series(A, B, s, start)
+        assert sums[i].tobytes() == expected.tobytes(), f"s = {s}"
+        assert used[i] == terms, f"s = {s}"
+        assert commutator_series(A, B, s, start).tobytes() == expected.tobytes()
+
+
+def test_series_stack_validation(ref):
+    with pytest.raises(InputError, match="finite"):
+        commutator_series_stack(ref.A, ref.B, [0.1, np.nan])
+    with pytest.raises(InputError, match="1-D"):
+        commutator_series_stack(ref.A, ref.B, [[0.1]])
+    with pytest.raises(InputError, match="start"):
+        commutator_series_stack(ref.A, ref.B, [0.1], start=2)
+    sums, used = commutator_series_stack(ref.A, ref.B, [])
+    assert sums.shape == (0, 2, 2) and used.shape == (0,)
+
+
+def test_series_stack_overflow_of_its_largest_argument(ref):
+    small = [0.0, 0.005, -0.01, 0.02]
+    for s in small:
+        assert np.all(np.isfinite(commutator_series(STIFF_A, ref.B, s, start=1)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError, match="commutator series: series term overflowed"):
+            commutator_series_stack(STIFF_A, ref.B, small + [1.8], start=1)
+    assert caught == []

@@ -6,6 +6,7 @@ import scipy.linalg
 
 import adtstab as st
 from adtstab.linalg import expm
+from adtstab.simulate import FLOW_BLOCK
 
 
 def _unit(rng, n):
@@ -106,6 +107,24 @@ def test_comparison_needs_lookahead_deviation(ref_system, ref):
     st.simulate_comparison(ref_system, sched, [1.0, 0.0], K=4)
     with pytest.raises(st.InputError):
         st.simulate_comparison(ref_system, sched, [1.0, 0.0], K=0)
+
+
+@pytest.mark.parametrize("variant", [st.ADT, st.ADT_PLUS])
+def test_comparison_across_flow_blocks_equals_per_jump_loop(ref_system, ref, variant):
+    # K > FLOW_BLOCK, so the corrections come from more than one stacked series
+    K = 300
+    assert K > FLOW_BLOCK
+    sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, K + 2, variant, seed=8)
+    z0 = np.array([0.6, -0.8])
+    traj = st.simulate_comparison(ref_system, sched, z0, K)
+    E = expm(ref.A, ref.theta)
+    states, z = [z0], z0
+    for k in range(1, K + 1):
+        pre = E @ z
+        z = st.comparison_jump(ref_system, sched.chis[k + 1], ref.chi_max, variant).J @ pre
+        states += [pre, z]
+    assert traj.states.tobytes() == np.array(states).tobytes()
+    assert traj.post_jump_times.tolist() == [k * ref.theta for k in range(1, K + 1)]
 
 
 def test_matching_residual_small_on_seeded_schedules(ref_system, ref):
