@@ -2,8 +2,10 @@
 
 Between impulse instants every state is obtained from the segment's
 post-jump state by a matrix exponential, so there is no time-stepping
-error beyond the accuracy of expm itself; the exponentials of one segment
-are taken in a single stacked expm call.  Three simulators are
+error beyond the accuracy of expm itself.  A segment's events go in blocks
+of at most FLOW_BLOCK, and each block is evolved from one stacked expm
+call as one array operation; norms and CSV rows are formed per array, not
+per state.  Three simulators are
 provided: the original system on its jittered schedule, the
 dwell-normalized comparison system on the uniform grid, and a parabolic
 model whose sine modes evolve independently under shifted generators.
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -107,13 +110,20 @@ def _as_modes(model: ParabolicModel, modes, name: str = "modes") -> np.ndarray:
     return C
 
 
-def _l2(ell: float, C: np.ndarray) -> float:
-    return float(np.sqrt(ell / 2.0 * np.sum(C * C)))
+def _vector_norms(S: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of S, with the bits of np.linalg.norm(row),
+    which is sqrt(dot(row, row)); np.linalg.norm(S, axis=1) differs."""
+    return np.sqrt((S[:, None, :] @ S[:, :, None])[:, 0, 0])
+
+
+def _modal_norms(ell: float, S: np.ndarray) -> np.ndarray:
+    """L2 norm sqrt(ell/2 * sum_j |c_j|^2) of each (n_modes, n) block of S."""
+    return np.sqrt(ell / 2.0 * np.sum(S * S, axis=(1, 2)))
 
 
 def l2_norm(model: ParabolicModel, modes) -> float:
     """L2 norm sqrt(ell/2 * sum_j |c_j|^2) of a sine-mode coefficient block."""
-    return _l2(model.ell, _as_modes(model, modes))
+    return float(_modal_norms(model.ell, _as_modes(model, modes)[None])[0])
 
 
 def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
@@ -127,74 +137,68 @@ def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
 FLOW_BLOCK = 256
 
 
-def _rescaled(norms: np.ndarray, states: np.ndarray, norm_of) -> np.ndarray:
-    """norms[i] = norm_of(states[i]), with each one that overflowed although
-    its state is finite recomputed as s * norm_of(x / s), s = max |x|; both
-    norms are homogeneous, so this is the same norm without the overflow."""
-    for i in np.flatnonzero(~np.isfinite(norms)):
-        x = states[i]
-        if np.all(np.isfinite(x)):
-            s = np.max(np.abs(x))
-            norms[i] = s * norm_of(x / s)
+def _rescaled(states: np.ndarray, norms_of) -> np.ndarray:
+    """norms_of(states), with each norm that overflowed although its state x
+    is finite recomputed as s * norm(x / s), s = max |x|; both norms are
+    homogeneous, so this is the same norm without the overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = norms_of(states)
+        for i in np.flatnonzero(~np.isfinite(norms)):
+            x = states[i]
+            if np.all(np.isfinite(x)):
+                s = np.max(np.abs(x))
+                norms[i] = s * norms_of(x[None] / s)[0]
     return norms
 
 
-def _trajectory(times, states, norms, jump_rows, norm_of) -> Trajectory:
-    """Assemble a Trajectory; a norm that overflows even after rescaling
-    (see _rescaled) raises ConvergenceError naming its time."""
+def _trajectory(times, states, jump_rows, norms_of) -> Trajectory:
+    """Assemble a Trajectory with norms_of(states) as its norms; a norm that
+    overflows even after rescaling (see _rescaled) raises ConvergenceError
+    naming its time."""
     states = np.asarray(states)
-    with np.errstate(over="ignore"):
-        norms = _rescaled(np.asarray(norms, dtype=float), states, norm_of)
+    norms = _rescaled(states, norms_of)
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise ConvergenceError(f"trajectory norm overflowed at t = {times[bad[0]]:g}")
     return Trajectory(np.asarray(times), states, norms, np.asarray(jump_rows, dtype=int))
 
 
-def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norm_of) -> Trajectory:
+def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norms_of) -> Trajectory:
     """Shared event loop.
 
-    The offsets dt of each inter-impulse segment's events from its post-jump
-    state go through one stacked expm of A (at most FLOW_BLOCK at a time);
-    evolve(state, dt, e^(dt A)) must be exact for the flow.
+    The events of each inter-impulse segment go in blocks of at most
+    FLOW_BLOCK through one stacked expm of A at their offsets dts from the
+    segment's post-jump state; evolve(state, dts, flows) must return the
+    exact states at all of them, and jump maps the block's last state when
+    that event is an impulse.
     """
-    jump_set = set(float(t) for t in jump_times)
-    events = [(float(t), True) for t in jump_times]
-    events += [
-        (float(t), False) for t in _sample_grid(tau0, t_end, sample_dt)
-        if float(t) not in jump_set
-    ]
-    if t_end not in jump_set and not any(t == t_end for t, _ in events):
-        events.append((float(t_end), False))
-    events.sort()
+    samples = _sample_grid(tau0, t_end, sample_dt)
+    ts = np.concatenate([jump_times, samples[~np.isin(samples, jump_times)]])
+    if not np.any(ts == t_end):
+        ts = np.append(ts, t_end)
+    order = np.argsort(ts, kind="stable")
+    ts, is_jump = ts[order], order < len(jump_times)
 
-    times = [float(tau0)]
-    states = [x0]
-    norms = [norm_of(x0)]
-    jump_rows = []
+    blocks, first = [], 0
+    for end in [*(np.flatnonzero(is_jump) + 1).tolist(), len(ts)]:
+        blocks += [(i, min(i + FLOW_BLOCK, end)) for i in range(first, end, FLOW_BLOCK)]
+        first = end
+
+    states = [x0[None]]
     seg_t, seg_x = float(tau0), x0
-    start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        while start < len(events):
-            stop = min(start + FLOW_BLOCK, len(events))
-            stop = next((i + 1 for i in range(start, stop) if events[i][1]), stop)
-            block = events[start:stop]
-            start = stop
-            dts = np.array([t - seg_t for t, _ in block])
-            flows = expm(dts[:, None, None] * A)
-            for (t, is_jump), dt, flow in zip(block, dts, flows):
-                pre = evolve(seg_x, dt, flow)
-                times.append(t)
-                states.append(pre)
-                norms.append(norm_of(pre))
-                if is_jump:
-                    post = jump(pre)
-                    times.append(t)
-                    states.append(post)
-                    norms.append(norm_of(post))
-                    jump_rows.append(len(times) - 1)
-                    seg_t, seg_x = t, post
-    return _trajectory(times, states, norms, jump_rows, norm_of)
+        for start, stop in blocks:
+            dts = ts[start:stop] - seg_t
+            pre = evolve(seg_x, dts, expm(dts[:, None, None] * A))
+            states.append(pre)
+            if is_jump[stop - 1]:
+                seg_t, seg_x = ts[stop - 1], jump(pre[-1])
+                states.append(seg_x[None])
+    states = np.concatenate(states)  # frees the blocks before the norms are taken
+    # a jump event contributes two rows, pre-jump then post-jump
+    rows = 1 + is_jump
+    times = np.repeat(np.concatenate(([float(tau0)], ts)), np.concatenate(([1], rows)))
+    return _trajectory(times, states, np.cumsum(rows)[is_jump], norms_of)
 
 
 def _jump_times(schedule: ImpulseSchedule, t_end: float, sample_dt: float) -> list[float]:
@@ -225,9 +229,9 @@ def simulate_ode(
         float(t_end),
         float(sample_dt),
         A,
-        evolve=lambda x, dt, flow: flow @ x,
+        evolve=lambda x, dts, flows: flows @ x,
         jump=lambda x: B @ x,
-        norm_of=lambda x: float(np.linalg.norm(x)),
+        norms_of=_vector_norms,
     )
 
 
@@ -277,8 +281,7 @@ def simulate_comparison(
                 times.append(k * theta)
                 states.append(z)
                 jump_rows.append(len(times) - 1)
-        norms = np.linalg.norm(states, axis=1)
-    return _trajectory(times, states, norms, jump_rows, np.linalg.norm)
+    return _trajectory(times, states, jump_rows, _vector_norms)
 
 
 def matching_residual(
@@ -345,8 +348,8 @@ def simulate_parabolic(
     rates = np.array([model.decay_rate(j) for j in range(1, model.n_modes + 1)])
     A, B = model.A, model.B
 
-    def evolve(C, dt, flow):
-        return np.exp(-rates * dt)[:, None] * (C @ flow.T)
+    def evolve(C, dts, flows):
+        return np.exp(-rates[None] * dts[:, None])[:, :, None] * (C @ flows.transpose(0, 2, 1))
 
     return _run_events(
         C0,
@@ -357,8 +360,21 @@ def simulate_parabolic(
         A,
         evolve=evolve,
         jump=lambda C: C @ B.T,
-        norm_of=lambda C: _l2(model.ell, C),
+        norms_of=partial(_modal_norms, model.ell),
     )
+
+
+def _csv(header: str, times, norms, post_rows, values: np.ndarray) -> str:
+    """CSV rows t,norm,is_post_jump,values... with 17-significant-digit floats;
+    a non-finite entry raises fmt's ValueError, naming the first one."""
+    M = np.column_stack([times, norms, np.zeros(len(times)), values])
+    M[post_rows, 2] = 1.0
+    bad = np.flatnonzero(~np.isfinite(M))
+    if bad.size:
+        fmt(M.flat[bad[0]])  # raises
+    # "%.17g" % v is format(v, ".17g"), -0.0 and subnormals included
+    row = ",".join(["%.17g", "%.17g", "%d"] + ["%.17g"] * values.shape[1])
+    return "\n".join([header, *(row % r for r in map(tuple, M.tolist()))]) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -367,21 +383,14 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     Vector runs emit t,norm,is_post_jump,state_0..state_{n-1}; parabolic
     runs emit t,l2_norm,is_post_jump (per-mode data goes through mode_csv).
     """
-    post = np.zeros(len(traj.times), dtype=int)
-    post[traj.jump_indices] = 1
-    lines = []
     if traj.states.ndim == 2:
         n = traj.states.shape[1]
-        lines.append("t,norm,is_post_jump," + ",".join(f"state_{i}" for i in range(n)))
-        for i, t in enumerate(traj.times):
-            row = [fmt(t), fmt(traj.norms[i]), str(post[i])]
-            row += [fmt(v) for v in traj.states[i]]
-            lines.append(",".join(row))
+        header = "t,norm,is_post_jump," + ",".join(f"state_{i}" for i in range(n))
+        values = traj.states
     else:
-        lines.append("t,l2_norm,is_post_jump")
-        for i, t in enumerate(traj.times):
-            lines.append(f"{fmt(t)},{fmt(traj.norms[i])},{post[i]}")
-    return "\n".join(lines) + "\n"
+        header = "t,l2_norm,is_post_jump"
+        values = np.empty((len(traj.times), 0))
+    return _csv(header, traj.times, traj.norms, traj.jump_indices, values)
 
 
 def mode_csv(traj: Trajectory, j: int) -> str:
@@ -391,14 +400,6 @@ def mode_csv(traj: Trajectory, j: int) -> str:
     n_modes = traj.states.shape[1]
     if not 1 <= j <= n_modes:
         raise InputError(f"mode index {j} outside 1..{n_modes}")
-    post = np.zeros(len(traj.times), dtype=int)
-    post[traj.jump_indices] = 1
     C = traj.states[:, j - 1]
-    with np.errstate(over="ignore"):
-        norms = _rescaled(np.array([np.linalg.norm(c) for c in C]), C, np.linalg.norm)
-    lines = ["t,norm,is_post_jump," + ",".join(f"c_{i}" for i in range(C.shape[1]))]
-    for i, t in enumerate(traj.times):
-        row = [fmt(t), fmt(float(norms[i])), str(post[i])]
-        row += [fmt(v) for v in C[i]]
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    header = "t,norm,is_post_jump," + ",".join(f"c_{i}" for i in range(C.shape[1]))
+    return _csv(header, traj.times, _rescaled(C, _vector_norms), traj.jump_indices, C)

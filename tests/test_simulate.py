@@ -416,3 +416,92 @@ def test_mode_csv_norm_of_huge_finite_state():
     rows = [line.split(",") for line in st.mode_csv(traj, 1).splitlines()[1:]]
     assert rows[0][1] == "5"
     assert float(rows[1][1]) == pytest.approx(5e200, rel=1e-15)
+
+
+def _format_oracle_csv(header, times, norms, post_rows, values):
+    """CSV text built one value at a time with format(v, ".17g")."""
+    post = {int(i) for i in post_rows}
+    lines = [header]
+    for i, t in enumerate(times):
+        cells = [format(float(t), ".17g"), format(float(norms[i]), ".17g"), str(int(i in post))]
+        lines.append(",".join(cells + [format(float(v), ".17g") for v in values[i]]))
+    return "\n".join(lines) + "\n"
+
+
+def _with_special_values(traj, norm_of):
+    """traj with a -0.0 and a subnormal entry in its states, its norms taken
+    row by row with norm_of."""
+    states = traj.states.copy()
+    states.reshape(len(states), -1)[1, 0] = -0.0
+    states.reshape(len(states), -1)[2, -1] = 5e-324
+    norms = np.array([norm_of(x) for x in states])
+    return st.Trajectory(traj.times, states, norms, traj.jump_indices)
+
+
+def test_csv_writers_equal_per_value_format_oracle(ref):
+    # two segments of 512 samples each, so every segment spans several blocks
+    sched = st.generate_schedule(0.0, 1.0, 0.0, 4, st.ADT, seed=0)
+    t_end, dt = 2.0, 2.0**-9
+    assert t_end / dt > 2 * FLOW_BLOCK
+    rng = np.random.default_rng(4)
+    A, B = rng.uniform(-1.0, 1.0, (2, 3, 3))
+    vec = st.simulate_ode(st.ImpulsiveSystem(A=A, B=B), sched, [0.5, -1.0, 2.0], t_end, dt)
+    model = st.ParabolicModel(A=ref.A, B=ref.B, mu=0.3, ell=ref.ell, n_modes=3)
+    par = st.simulate_parabolic(model, sched, rng.standard_normal((3, 2)), t_end, dt)
+    modal_norm = lambda C: np.sqrt(model.ell / 2.0 * np.sum(C * C))
+    header = "t,norm,is_post_jump,state_0,state_1,state_2"
+    for traj in (vec, _with_special_values(vec, np.linalg.norm)):
+        oracle = _format_oracle_csv(
+            header, traj.times, [np.linalg.norm(x) for x in traj.states], traj.jump_indices,
+            traj.states,
+        )
+        assert st.trajectory_to_csv(traj) == oracle
+    special = _with_special_values(par, modal_norm)
+    assert "-0," in st.mode_csv(special, 1) and "e-324" in st.mode_csv(special, 3)
+    no_values = np.empty((len(par.times), 0))
+    for traj in (par, special):
+        oracle = _format_oracle_csv(
+            "t,l2_norm,is_post_jump", traj.times, [modal_norm(C) for C in traj.states],
+            traj.jump_indices, no_values,
+        )
+        assert st.trajectory_to_csv(traj) == oracle
+        for j in range(1, 4):
+            C = traj.states[:, j - 1]
+            oracle = _format_oracle_csv(
+                "t,norm,is_post_jump,c_0,c_1", traj.times, [np.linalg.norm(c) for c in C],
+                traj.jump_indices, C,
+            )
+            assert st.mode_csv(traj, j) == oracle
+
+
+def test_csv_writers_reject_nan_state():
+    times, posts = np.array([0.0, 1.0, 1.0]), np.array([2])
+    vec = st.Trajectory(times, np.array([[1.0, 0.0], [np.nan, 0.0], [1.0, 0.0]]),
+                        np.ones(3), posts)
+    with pytest.raises(ValueError, match="^cannot serialize non-finite value"):
+        st.trajectory_to_csv(vec)
+    states = np.ones((3, 2, 2))
+    states[1, 1, 0] = np.nan
+    par = st.Trajectory(times, states, np.array([1.0, np.nan, 1.0]), posts)
+    with pytest.raises(ValueError, match="^cannot serialize non-finite value"):
+        st.trajectory_to_csv(par)
+    with pytest.raises(ValueError, match="^cannot serialize non-finite value"):
+        st.mode_csv(par, 2)
+    st.mode_csv(par, 1)
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_trajectory_norms_equal_per_row_norms(n):
+    sched = st.generate_schedule(0.0, 1.0, 0.3, 12, st.ADT, seed=n)
+    rng = np.random.default_rng(20 + n)
+    A, B = rng.uniform(-1.0, 1.0, (2, n, n))
+    system = st.ImpulsiveSystem(A=A, B=B)
+    for traj in (
+        st.simulate_ode(system, sched, rng.standard_normal(n), 9.0, 0.05),
+        st.simulate_comparison(system, sched, rng.standard_normal(n), 10),
+    ):
+        assert np.array_equal(traj.norms, [np.linalg.norm(x) for x in traj.states])
+    model = st.ParabolicModel(A=A, B=B, mu=0.7, ell=2.5, n_modes=5)
+    traj = st.simulate_parabolic(model, sched, rng.standard_normal((5, n)), 9.0, 0.05)
+    expected = [np.sqrt(model.ell / 2.0 * np.sum(C * C)) for C in traj.states]
+    assert np.array_equal(traj.norms, expected)
