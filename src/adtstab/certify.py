@@ -17,7 +17,9 @@ threshold leaves float64 still gets a finite report.
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 import warnings
 from dataclasses import dataclass, field
 
@@ -109,10 +111,11 @@ class CertificateProblem:
     """The jump inequality at one parameter point.
 
     Everything that does not depend on P0 is formed once on construction:
-    E = e^(theta A), Phi = B E, the diffusive rate pi^2 mu^2 / ell^2, the
-    discount and omega.  omega defaults to the correction bound at chi_max;
-    an explicit value poses the inequality for that omega instead.  A rate
-    times theta that leaves float64 raises ConvergenceError.
+    E = e^(theta A) and Phi = B E (both read-only), the diffusive rate
+    pi^2 mu^2 / ell^2, the discount and omega.  omega defaults to the
+    correction bound at chi_max; an explicit value poses the inequality for
+    that omega instead.  A rate times theta that leaves float64 raises
+    ConvergenceError.
     """
 
     A: np.ndarray
@@ -131,6 +134,9 @@ class CertificateProblem:
         A, B = as_pair(self.A, self.B)
         check_positive(theta=self.theta, mu=self.mu, ell=self.ell)
         check_window(self.theta, self.chi_max)
+        # float64 arithmetic whatever scalar type came in, as the memo keys it
+        for name in ("theta", "chi_max", "mu", "ell"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.omega is None:
             omega = correction_bound(A, B, self.chi_max)
         elif np.isfinite(self.omega) and self.omega >= 0.0:
@@ -145,9 +151,11 @@ class CertificateProblem:
             raise ConvergenceError(
                 f"diffusive rate times theta overflowed at mu = {self.mu:g}, ell = {self.ell:g}"
             )
+        phi = _jump_after_flow(B, E, self.theta)
+        E.setflags(write=False)
+        phi.setflags(write=False)
         for name, value in (
-            ("A", A), ("B", B), ("omega", omega), ("E", E),
-            ("phi", _jump_after_flow(B, E, self.theta)),
+            ("A", A), ("B", B), ("omega", omega), ("E", E), ("phi", phi),
             ("rate", rate), ("discount", math.exp(-2.0 * rate * self.theta)),
         ):
             object.__setattr__(self, name, value)
@@ -240,12 +248,33 @@ class CertificateProblem:
         )
 
 
+@functools.lru_cache(maxsize=1)
+def _memo(a: bytes, b: bytes, scalars: bytes) -> CertificateProblem:
+    n = math.isqrt(len(a) // 8)
+    # read-only views of the key's own bytes, so no caller array is shared
+    A, B = (np.frombuffer(x).reshape(n, n) for x in (a, b))
+    return CertificateProblem(A, B, *struct.unpack(f"{len(scalars) // 8}d", scalars))
+
+
+def _problem(A, B, theta, chi_max, mu, ell, omega=None) -> CertificateProblem:
+    """The problem at one point, shared by consecutive calls at the same point.
+
+    A one-slot memo is keyed on the bits of the coerced A and B and of the
+    scalars, so an in-place edit of A or a chi_max of -0.0 against 0.0 never
+    reuses an entry; search_p0 followed by evaluate_certificate then forms
+    omega and e^(theta A) once.
+    """
+    A, B = as_pair(A, B)
+    scalars = (theta, chi_max, mu, ell) + (() if omega is None else (omega,))
+    return _memo(A.tobytes(), B.tobytes(), struct.pack(f"{len(scalars)}d", *scalars))
+
+
 def inequality_lhs(
     P0, A, B, theta: float, mu: float, ell: float, omega: float
 ) -> np.ndarray:
     """Left side of the discounted jump inequality for a given omega."""
     # chi_max enters the inequality only through omega, which is given here
-    return CertificateProblem(A, B, theta, 0.0, mu, ell, omega=omega).lhs(check_spd(P0))
+    return _problem(A, B, theta, 0.0, mu, ell, omega).lhs(check_spd(P0))
 
 
 def evaluate_certificate(
@@ -258,7 +287,7 @@ def evaluate_certificate(
     p0=None,
 ) -> CertificateReport:
     """Evaluate the certificate at one parameter point (see CertificateProblem.evaluate)."""
-    return CertificateProblem(A, B, theta, chi_max, mu, ell).evaluate(p0)
+    return _problem(A, B, theta, chi_max, mu, ell).evaluate(p0)
 
 
 def search_p0(
@@ -273,4 +302,4 @@ def search_p0(
 ) -> np.ndarray | None:
     """CertificateProblem.search at one point; budget and seed are accepted
     for existing callers and have no effect."""
-    return CertificateProblem(A, B, theta, chi_max, mu, ell).search()
+    return _problem(A, B, theta, chi_max, mu, ell).search()

@@ -10,7 +10,9 @@ computes the commutator sequence, the truncated series, and the scalar
 bounds built from it.  All series share one stopping rule (three consecutive
 terms below REL_TOL times the running sum, hard cap at TERM_CAP terms) so
 that quantities derived from the same data truncate consistently.  Overflow
-anywhere in a series raises ConvergenceError, without a RuntimeWarning.
+anywhere in a series raises ConvergenceError, without a RuntimeWarning.  The
+scalar bounds take the 2-norms of their terms NORM_CHUNK orders at a time,
+with the bits of one norm per term.
 
 Matrix series are summed for a whole stack of arguments s_1..s_k at once
 (commutator_series_stack): {B, A^m} is formed once, weighted by each
@@ -32,6 +34,7 @@ from .schedules import check_window
 
 TERM_CAP = 200
 REL_TOL = 1e-12
+NORM_CHUNK = 8
 _QUIET_NEEDED = 3
 
 __all__ = [
@@ -62,10 +65,6 @@ def _norms2(stack: np.ndarray) -> np.ndarray:
     norms = np.full(len(stack), np.inf)
     norms[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
     return norms
-
-
-def _norm2(M: np.ndarray) -> float:
-    return float(_norms2(M[None])[0])
 
 
 @dataclass(frozen=True)
@@ -102,13 +101,23 @@ def _commutators(A: np.ndarray, B: np.ndarray):
         term = term @ A - A @ term
 
 
-def _weighted(A: np.ndarray, B: np.ndarray, s: float, start: int = 0):
-    """Yield (m, s^m/m!, {B, A^m}) for m = start..TERM_CAP."""
+def _weighted_norms(A: np.ndarray, B: np.ndarray, s: float, start: int = 0, right=None):
+    """Yield (m, s^m/m!, ||{B, A^m} right||) for m = start..TERM_CAP; right
+    defaults to the identity.
+
+    The terms are formed NORM_CHUNK orders at a time and their 2-norms come
+    from one _norms2 call per chunk, so a consumer that stops early leaves at
+    most NORM_CHUNK - 1 formed terms unread; an unread term may overflow.
+    """
+    orders = zip(range(TERM_CAP + 1), _commutators(A, B))
     coeff = 1.0
-    for m, term in zip(range(TERM_CAP + 1), _commutators(A, B)):
-        if m >= start:
-            yield m, coeff, term
-        coeff *= s / (m + 1)
+    while chunk := list(islice(orders, NORM_CHUNK)):
+        terms = np.stack([T for _m, T in chunk])
+        norms = _norms2(terms if right is None else terms @ right)
+        for (m, _T), norm in zip(chunk, norms):
+            if m >= start:
+                yield m, coeff, float(norm)
+            coeff *= s / (m + 1)
 
 
 def _truncated_sum(terms, label: str):
@@ -145,11 +154,11 @@ def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
         raise InputError("m_max must be >= 0")
     with np.errstate(over="ignore", invalid="ignore"):
         terms = tuple(islice(_commutators(A, B), int(m_max) + 1))
-        norms = tuple(_norm2(T) for T in terms)
-    for m, v in enumerate(norms):
-        if not np.isfinite(v):
-            raise ConvergenceError(f"commutator of order {m} overflowed")
-    return CommutatorSequence(A=A, B=B, terms=terms, norms=norms)
+    norms = _norms2(np.stack(terms))
+    overflowed = np.flatnonzero(~np.isfinite(norms))
+    if overflowed.size:
+        raise ConvergenceError(f"commutator of order {overflowed[0]} overflowed")
+    return CommutatorSequence(A=A, B=B, terms=terms, norms=tuple(map(float, norms)))
 
 
 def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
@@ -225,8 +234,7 @@ def correction_terms(A, B, chi_max: float) -> list[SeriesTerm]:
     rows: list[SeriesTerm] = []
 
     def contributions():
-        for m, coeff, T in _weighted(A, B, 2.0 * float(chi_max), start=1):
-            nrm = _norm2(T)
+        for m, coeff, nrm in _weighted_norms(A, B, 2.0 * float(chi_max), start=1):
             rows.append(SeriesTerm(m=m, commutator_norm=nrm, contribution=coeff * nrm))
             yield rows[-1].contribution
 
@@ -247,5 +255,6 @@ def lift_bound(A, B, theta: float, chi_max: float) -> float:
     A, B = as_pair(A, B)
     check_window(theta, chi_max)
     E = expm(A, theta - chi_max)
-    terms = (coeff * _norm2(T @ E) for _m, coeff, T in _weighted(A, B, 2.0 * float(chi_max)))
+    walk = _weighted_norms(A, B, 2.0 * float(chi_max), right=E)
+    terms = (coeff * nrm for _m, coeff, nrm in walk)
     return float(_truncated_sum(terms, "lift bound")[0])

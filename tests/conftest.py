@@ -1,3 +1,4 @@
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import adtstab as st
+from adtstab import certify
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,3 +37,32 @@ def ref_model(ref):
 @pytest.fixture
 def ref_config_path():
     return REPO_ROOT / "configs" / "reaction_diffusion.json"
+
+
+@pytest.fixture(autouse=True)
+def _fresh_problem_memo():
+    """Start every test without a remembered CertificateProblem, so a test
+    that counts calls does not depend on which test ran before it."""
+    certify._memo.cache_clear()
+
+
+@pytest.fixture
+def record_calls(monkeypatch):
+    """record(func) routes every adtstab binding of func through a wrapper
+    that logs its (args, kwargs), and returns the log."""
+
+    def record(func) -> list:
+        calls = []
+
+        def wrapper(*args, **kwargs):
+            calls.append((args, kwargs))
+            return func(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "adtstab" or name.startswith("adtstab."):
+                for attr, value in list(vars(module).items()):
+                    if value is func:
+                        monkeypatch.setattr(module, attr, wrapper)
+        return calls
+
+    return record

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 import scipy.linalg
 
 import adtstab as st
+from adtstab import commutators, linalg
 from adtstab.certify import NORM_CONVENTION
 from adtstab.linalg import min_eigenvalue_sym, spectral_norm
 
@@ -379,3 +381,56 @@ def test_inequality_overflow_raises_convergence_error(magnitude, chi_max):
 def test_report_inputs_carry_fixed_series_settings(ref):
     doc = st.evaluate_certificate(ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell).to_doc()
     assert doc["inputs"]["rel_tol"] == st.commutators.REL_TOL == 1e-12
+
+
+def _period_flows(flows, A, theta):
+    return [args for args, _ in flows if args[1] == theta and np.array_equal(args[0], A)]
+
+
+def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls):
+    point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
+    bounds = record_calls(commutators.correction_bound)
+    flows = record_calls(linalg.expm)
+    p0 = st.search_p0(*point)
+    doc = st.evaluate_certificate(*point, p0=p0).to_doc()
+    assert len(bounds) == 1
+    assert len(_period_flows(flows, ref.A, ref.theta)) == 1
+    assert doc == st.CertificateProblem(*point).evaluate(p0).to_doc()
+
+
+def test_problem_memo_sees_an_in_place_edit_of_a(ref):
+    A = ref.A.copy()
+    p0 = st.search_p0(A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
+    A[0, 1] += 0.5
+    doc = st.evaluate_certificate(A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell, p0=p0).to_doc()
+    assert doc["inputs"]["a"] == A.ravel().tolist()
+    fresh = st.CertificateProblem(A.copy(), ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
+    assert doc == fresh.evaluate(p0).to_doc()
+
+
+def test_problem_memo_tells_signed_zeros_and_omega_apart(ref):
+    for chi_max in (0.0, -0.0, 0.0):
+        doc = st.evaluate_certificate(ref.A, ref.B, ref.theta, chi_max, ref.mu, ref.ell).to_doc()
+        assert math.copysign(1.0, doc["inputs"]["chi_max"]) == math.copysign(1.0, chi_max)
+    # the same point with an explicit omega poses a different inequality
+    P = np.eye(2)
+    lhs = st.inequality_lhs(P, ref.A, ref.B, ref.theta, ref.mu, ref.ell, 0.5)
+    expected = st.CertificateProblem(ref.A, ref.B, ref.theta, 0.0, ref.mu, ref.ell, omega=0.5)
+    assert np.array_equal(lhs, expected.lhs(P))
+
+
+def test_report_phi_write_leaves_the_next_report_alone(ref):
+    point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
+    expected = st.CertificateProblem(*point).evaluate().to_doc()
+    report = st.evaluate_certificate(*point)
+    try:
+        report.phi[0, 0] = 99.0
+    except ValueError:  # read-only
+        pass
+    assert st.evaluate_certificate(*point).to_doc() == expected
+
+
+def test_memo_and_direct_problem_agree_on_float32_scalars(ref):
+    point = (ref.A, ref.B, np.float32(1.1), np.float32(0.1), ref.mu, ref.ell)
+    direct = st.CertificateProblem(*point).evaluate().to_doc()
+    assert st.evaluate_certificate(*point).to_doc() == direct

@@ -2,7 +2,6 @@ import contextlib
 import io
 import json
 import re
-import sys
 import tempfile
 from pathlib import Path
 
@@ -268,30 +267,15 @@ def test_gen_times_rejects_non_finite_deviation(ref_config_path, tmp_path, capsy
     assert "deviation_bound" in capsys.readouterr().err
 
 
-def _record_calls(monkeypatch, func, calls: list) -> None:
-    """Route every adtstab binding of func through a wrapper logging its arguments."""
-
-    def wrapper(*args, **kwargs):
-        calls.append((args, kwargs))
-        return func(*args, **kwargs)
-
-    for name, module in list(sys.modules.items()):
-        if name == "adtstab" or name.startswith("adtstab."):
-            for attr, value in list(vars(module).items()):
-                if value is func:
-                    monkeypatch.setattr(module, attr, wrapper)
-
-
 @pytest.mark.parametrize("jitter, code", [(None, 0), (0.45, 1)], ids=["reference", "negative"])
-def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, monkeypatch, jitter, code):
+def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, record_calls, jitter, code):
     base = json.loads(ref_config_path.read_text(encoding="utf-8"))
     theta = base["schedule"]["theta"]
     A = np.reshape(base["system"]["A"], (2, 2))
     patches = None if jitter is None else {"schedule.chi_max": jitter * theta}
     cfg = _patched_config(ref_config_path, tmp_path, patches)
-    bounds, flows = [], []
-    _record_calls(monkeypatch, commutators.correction_bound, bounds)
-    _record_calls(monkeypatch, linalg.expm, flows)
+    bounds = record_calls(commutators.correction_bound)
+    flows = record_calls(linalg.expm)
     out = tmp_path / "report.json"
     assert main(["certify", "--config", str(cfg), "--output", str(out), "--quiet"]) == code
     period_flows = [

@@ -297,3 +297,82 @@ def test_series_stack_overflow_of_its_largest_argument(ref):
         with pytest.raises(ConvergenceError, match="commutator series: series term overflowed"):
             commutator_series_stack(STIFF_A, ref.B, small + [1.8], start=1)
     assert caught == []
+
+
+def _reference_norm_series(A, B, s, start, right=None):
+    """Rows (m, ||{B, A^m} right||, s^m/m! times that) of a per-term loop with
+    np.linalg.norm, summed in a Python float and stopped after three
+    consecutive terms at most REL_TOL times the running sum; returns the
+    rows and the sum."""
+    term, coeff, total, quiet, rows = B, 1.0, None, 0, []
+    for m in range(TERM_CAP + 1):
+        if m >= start:
+            norm = float(np.linalg.norm(term if right is None else term @ right, 2))
+            value = coeff * norm
+            rows.append((m, norm, value))
+            total = value if total is None else total + value
+            quiet = quiet + 1 if abs(value) <= REL_TOL * abs(total) else 0
+            if quiet == 3:
+                return rows, total
+        term = term @ A - A @ term
+        coeff *= s / (m + 1)
+    raise AssertionError(f"reference series for s = {s} did not stop")
+
+
+def _check_bounds_bitwise(A, B, chi_max, lift_chi_max, theta_gap=0.5):
+    """correction_terms at chi_max and lift_bound at lift_chi_max (theta =
+    lift_chi_max + theta_gap) against the per-term loop; returns the last
+    order each series used."""
+    rows, _ = _reference_norm_series(A, B, 2.0 * chi_max, 1)
+    got = [(r.m, r.commutator_norm, r.contribution) for r in correction_terms(A, B, chi_max)]
+    assert [(m, a.hex(), b.hex()) for m, a, b in got] == [
+        (m, a.hex(), b.hex()) for m, a, b in rows
+    ]
+    theta = lift_chi_max + theta_gap
+    lift_rows, lift = _reference_norm_series(
+        A, B, 2.0 * lift_chi_max, 0, expm(A, theta - lift_chi_max)
+    )
+    assert lift_bound(A, B, theta, lift_chi_max).hex() == lift.hex()
+    return rows[-1][0], lift_rows[-1][0]
+
+
+# the norms are taken NORM_CHUNK = 8 orders at a time: orders 8..15 form
+# the second chunk, so a series whose last order is 14, 15 or 16 ends just
+# before, exactly on or just after a chunk boundary
+@pytest.mark.parametrize(
+    "n, chi_max, lift_chi_max, last_m",
+    [
+        (2, 0.26, 0.31, 14), (2, 0.36, 0.40, 15), (2, 0.47, 0.52, 16),
+        (4, 0.14, 0.15, 14), (4, 0.19, 0.20, 15), (4, 0.25, 0.25, 16),
+        (8, 0.06, 0.07, 14), (8, 0.07, 0.09, 15), (8, 0.10, 0.11, 16),
+    ],
+)
+def test_bound_series_are_bitwise_the_per_term_loop(n, chi_max, lift_chi_max, last_m):
+    rng = np.random.default_rng(100 + n)
+    A = rng.uniform(-1, 1, (n, n))
+    B = rng.uniform(-1, 1, (n, n))
+    assert _check_bounds_bitwise(A, B, chi_max, lift_chi_max) == (last_m, last_m)
+
+
+def test_bound_series_of_a_commuting_pair_are_the_per_term_loop():
+    A = np.diag([1.0, 2.0, -0.5])
+    B = np.diag([3.0, -1.0, 0.25])
+    # every commutator vanishes: the correction stops after three zero
+    # terms, the lift after its base term and three zero terms
+    assert _check_bounds_bitwise(A, B, 0.3, 0.3) == (3, 3)
+
+
+def test_bound_series_ignore_an_unread_overflowing_term():
+    # ||A|| ~ 1e25: {B, A^13} overflows, in the chunk of orders 8..15, but
+    # both series stop at order 9 or 10, before they read it
+    A = np.array([[1.0, 0.4], [-0.3, -0.6]]) * 1e25
+    B = np.array([[0.2, 0.1], [-0.1, 1.5]])
+    chi_max = 1e-27
+    assert _first_overflowing_order(A, B, 20) == 13
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        last = _check_bounds_bitwise(A, B, chi_max, chi_max, theta_gap=chi_max)
+        assert np.isfinite(correction_bound(A, B, chi_max))
+        assert np.isfinite(lift_bound(A, B, 2.0 * chi_max, chi_max))
+    assert caught == []
+    assert all(8 <= m < 13 for m in last)
