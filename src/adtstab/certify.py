@@ -22,22 +22,22 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass, field
+from itertools import tee
 
 import numpy as np
 from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_lyapunov
 
-from .commutators import REL_TOL, correction_bound, lift_bound
+from .commutators import REL_TOL, _lift_sum, _omega_rows, _walk
 from .errors import ConvergenceError, InputError
 from .linalg import (
+    _norms2,
+    _spectral_radius,
     as_pair,
     check_positive,
     check_spd,
     expm,
     is_hurwitz,
-    is_schur,
-    min_eigenvalue_sym,
     spectral_norm,
-    spectral_radius,
 )
 from .schedules import check_window
 
@@ -112,10 +112,10 @@ class CertificateProblem:
 
     Everything that does not depend on P0 is formed once on construction:
     E = e^(theta A) and Phi = B E (both read-only), the diffusive rate
-    pi^2 mu^2 / ell^2, the discount and omega.  omega defaults to the
-    correction bound at chi_max; an explicit value poses the inequality for
-    that omega instead.  A rate times theta that leaves float64 raises
-    ConvergenceError.
+    pi^2 mu^2 / ell^2, the discount, omega and the lift amplification, the
+    last two from one walk of {B, A^m}.  omega defaults to the correction
+    bound at chi_max; an explicit value poses the inequality for that omega
+    instead.  A rate times theta that leaves float64 raises ConvergenceError.
     """
 
     A: np.ndarray
@@ -129,6 +129,7 @@ class CertificateProblem:
     phi: np.ndarray = field(init=False, repr=False)
     rate: float = field(init=False, repr=False)
     discount: float = field(init=False, repr=False)
+    _lift: float = field(init=False, repr=False)
 
     def __post_init__(self):
         A, B = as_pair(self.A, self.B)
@@ -137,11 +138,7 @@ class CertificateProblem:
         # float64 arithmetic whatever scalar type came in, as the memo keys it
         for name in ("theta", "chi_max", "mu", "ell"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.omega is None:
-            omega = correction_bound(A, B, self.chi_max)
-        elif np.isfinite(self.omega) and self.omega >= 0.0:
-            omega = self.omega
-        else:
+        if self.omega is not None and not (np.isfinite(self.omega) and self.omega >= 0.0):
             raise InputError("omega must be finite and >= 0")
         E = expm(A, self.theta)
         # a numpy scalar squares to inf where a Python float's ** would raise
@@ -152,11 +149,16 @@ class CertificateProblem:
                 f"diffusive rate times theta overflowed at mu = {self.mu:g}, ell = {self.ell:g}"
             )
         phi = _jump_after_flow(B, E, self.theta)
+        # walked after Phi, so a lift that overflows with Phi reports Phi's overflow
+        lift_flow = expm(A, self.theta - self.chi_max)
+        walk, lift_walk = tee(_walk(A, B, 2.0 * self.chi_max, lift_flow))
+        omega = _omega_rows(walk)[1] if self.omega is None else self.omega
         E.setflags(write=False)
         phi.setflags(write=False)
         for name, value in (
             ("A", A), ("B", B), ("omega", omega), ("E", E), ("phi", phi),
             ("rate", rate), ("discount", math.exp(-2.0 * rate * self.theta)),
+            ("_lift", _lift_sum(lift_walk)),
         ):
             object.__setattr__(self, name, value)
 
@@ -168,8 +170,9 @@ class CertificateProblem:
         # a numpy scalar squares to inf where a Python float's ** would raise
         d, w = self.discount, np.float64(self.omega)
         with np.errstate(over="ignore", invalid="ignore"):
-            mixed = max(spectral_norm(self.B @ P0), spectral_norm(self.B.T @ P0))
-            scale = 2.0 * w * mixed + w**2 * spectral_norm(P0)
+            # an overflowing B P0 has norm inf and so fails the check below
+            bp, btp, p = _norms2(np.stack([self.B @ P0, self.B.T @ P0, P0]))
+            scale = 2.0 * w * max(bp, btp) + w**2 * p
             out = d * (self.phi.T @ P0 @ self.phi) + d * scale * (self.E.T @ self.E)
         if not np.all(np.isfinite(out)):
             raise ConvergenceError(f"jump inequality overflowed at omega = {w:g}")
@@ -183,7 +186,7 @@ class CertificateProblem:
         large Stein P0 exceeds any fixed tolerance relative to the margin.
         """
         S = P0 - self.lhs(P0)
-        return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+        return float(np.linalg.eigvalsh(0.5 * S + 0.5 * S.T)[0])  # halves first, as in search
 
     def search(self) -> np.ndarray | None:
         """P0 with positive margin: the identity, else the Stein solution, or None.
@@ -208,7 +211,8 @@ class CertificateProblem:
             return None
         P = 0.5 * P + 0.5 * P.T  # halves first: a sum near the float64 limit overflows
         P = P / spectral_norm(P)
-        return P if min_eigenvalue_sym(P) > 0.0 and self.margin(P) > 0.0 else None
+        # P is exactly symmetric here, so eigvalsh reads it without a symmetry check
+        return P if np.linalg.eigvalsh(P)[0] > 0.0 and self.margin(P) > 0.0 else None
 
     def evaluate(self, p0=None) -> CertificateReport:
         """Certificate verdict and diagnostics for P0 (identity by default).
@@ -220,7 +224,7 @@ class CertificateProblem:
         A, B, theta, chi_max = self.A, self.B, self.theta, self.chi_max
         p0 = np.eye(A.shape[0]) if p0 is None else check_spd(p0)
         log_threshold = self.rate * theta
-        radius = spectral_radius(self.phi)
+        radius = _spectral_radius(self.phi)
         below = radius == 0.0 or math.log(radius) < log_threshold
         margin = self.margin(p0)
 
@@ -232,9 +236,10 @@ class CertificateProblem:
             margin=margin,
             phi=self.phi,
             p0=p0,
+            # A - rate id is formed here and may overflow, so it is checked
             shifted_a_hurwitz=is_hurwitz(A - self.rate * np.eye(A.shape[0])),
-            b_schur=is_schur(B),
-            lift_amplification=lift_bound(A, B, theta, chi_max),
+            b_schur=_spectral_radius(B) < 1.0,
+            lift_amplification=self._lift,
             inputs={
                 "n": int(A.shape[0]),
                 "a": [float(v) for v in A.ravel()],

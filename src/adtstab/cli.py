@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .certify import CertificateProblem
-from .commutators import REL_TOL, correction_terms, nested_commutators
+from .commutators import REL_TOL, _correction, nested_commutators
 from .errors import ConvergenceError, GenerationError, InputError
 from .schedules import ImpulseSchedule, generate, require_valid, schedule_from_doc, schedule_to_doc
 from .serialize import dumps, fmt
@@ -214,8 +214,7 @@ def cmd_omega(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
     (chi_max,) = _values(_section(cfg, "schedule"), "schedule", "chi_max")
     _run(cfg)  # rejects a malformed run section or another run.rel_tol
-    rows = correction_terms(system.A, system.B, chi_max)
-    omega = sum(r.contribution for r in rows)
+    rows, omega = _correction(system.A, system.B, chi_max)
     lines = [f"omega = {fmt(omega)}", "m,commutator_norm,contribution"]
     lines += [f"{r.m},{fmt(r.commutator_norm)},{fmt(r.contribution)}" for r in rows]
     return "\n".join(lines) + "\n", f"omega = {omega:.6g} from {len(rows)} series terms", 0

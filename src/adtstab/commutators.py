@@ -10,9 +10,13 @@ computes the commutator sequence, the truncated series, and the scalar
 bounds built from it.  All series share one stopping rule (three consecutive
 terms below REL_TOL times the running sum, hard cap at TERM_CAP terms) so
 that quantities derived from the same data truncate consistently.  Overflow
-anywhere in a series raises ConvergenceError, without a RuntimeWarning.  The
-scalar bounds take the 2-norms of their terms NORM_CHUNK orders at a time,
-with the bits of one norm per term.
+anywhere in a series raises ConvergenceError, without a RuntimeWarning.
+
+The scalar bounds (the jump correction omega and the lift amplification)
+read a walk of {B, A^m} that forms NORM_CHUNK orders at a time and takes
+the 2-norms of their {B, A^m} and {B, A^m} E in one call of
+linalg._norms2, the one 2-norm kernel.  A certificate point reads both
+bounds from one walk; each keeps its own running sum and stopping point.
 
 Matrix series are summed for a whole stack of arguments s_1..s_k at once
 (commutator_series_stack): {B, A^m} is formed once, weighted by each
@@ -29,7 +33,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .linalg import as_pair, expm
+from .linalg import _norms2, as_pair, expm
 from .schedules import check_window
 
 TERM_CAP = 200
@@ -50,21 +54,6 @@ __all__ = [
     "correction_bound",
     "lift_bound",
 ]
-
-
-def _norms2(stack: np.ndarray) -> np.ndarray:
-    """Operator 2-norms of a stack of matrices; inf for one with a
-    non-finite entry.
-
-    The 2-norm is the largest singular value, which LAPACK returns first,
-    so this has the bits of np.linalg.norm(M, 2) without its overhead.
-    """
-    finite = np.all(np.isfinite(stack), axis=(1, 2))
-    if finite.all():
-        return np.linalg.svd(stack, compute_uv=False)[:, 0]
-    norms = np.full(len(stack), np.inf)
-    norms[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
-    return norms
 
 
 @dataclass(frozen=True)
@@ -101,36 +90,35 @@ def _commutators(A: np.ndarray, B: np.ndarray):
         term = term @ A - A @ term
 
 
-def _weighted_norms(A: np.ndarray, B: np.ndarray, s: float, start: int = 0, right=None):
-    """Yield (m, s^m/m!, ||{B, A^m} right||) for m = start..TERM_CAP; right
-    defaults to the identity.
+def _walk(A: np.ndarray, B: np.ndarray, s: float, E=None):
+    """Yield (m, s^m/m!, norms) for m = 0..TERM_CAP, where norms lists
+    ||{B, A^m}|| and, given E, ||{B, A^m} E||.
 
-    The terms are formed NORM_CHUNK orders at a time and their 2-norms come
-    from one _norms2 call per chunk, so a consumer that stops early leaves at
-    most NORM_CHUNK - 1 formed terms unread; an unread term may overflow.
+    The terms are formed NORM_CHUNK orders at a time and all 2-norms of a
+    chunk come from one _norms2 call, so a consumer that stops early leaves
+    at most NORM_CHUNK - 1 formed terms unread; an unread term may overflow.
+    Two sums may share one walk through itertools.tee: each reads it as far
+    as its own _truncated_sum needs, with the bits of a walk of its own.
     """
     orders = zip(range(TERM_CAP + 1), _commutators(A, B))
     coeff = 1.0
     while chunk := list(islice(orders, NORM_CHUNK)):
         terms = np.stack([T for _m, T in chunk])
-        norms = _norms2(terms if right is None else terms @ right)
-        for (m, _T), norm in zip(chunk, norms):
-            if m >= start:
-                yield m, coeff, float(norm)
+        if E is not None:
+            terms = np.concatenate([terms, terms @ E])
+        for (m, _T), norms in zip(chunk, _norms2(terms).reshape(-1, len(chunk)).T.tolist()):
+            yield m, coeff, norms
             coeff *= s / (m + 1)
 
 
-def _truncated_sum(terms, label: str):
+def _truncated_sum(terms, label: str) -> float:
     """Sum scalar terms until _QUIET_NEEDED consecutive ones are at most
-    REL_TOL times the running sum in magnitude.
-
-    Returns the sum and the number of terms used.
-    """
+    REL_TOL times the running sum in magnitude."""
     total = None
     magnitude = float("inf")
     quiet = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for used, value in enumerate(terms, 1):
+        for value in terms:
             magnitude = abs(value)
             if not np.isfinite(magnitude):
                 raise ConvergenceError(f"{label}: series term overflowed")
@@ -138,13 +126,31 @@ def _truncated_sum(terms, label: str):
             if magnitude <= REL_TOL * abs(total):
                 quiet += 1
                 if quiet >= _QUIET_NEEDED:
-                    return total, used
+                    return total
             else:
                 quiet = 0
     raise ConvergenceError(
         f"{label}: no convergence within {TERM_CAP} terms "
         f"(last term magnitude {magnitude:.3e})"
     )
+
+
+def _omega_rows(walk) -> tuple[list[SeriesTerm], float]:
+    """The correction_terms rows, orders m >= 1, and their total omega, from
+    a walk at s = 2 chi_max."""
+    rows: list[SeriesTerm] = []
+
+    def contributions():
+        for m, coeff, (norm, *_) in islice(walk, 1, None):
+            rows.append(SeriesTerm(m=m, commutator_norm=norm, contribution=coeff * norm))
+            yield rows[-1].contribution
+
+    return rows, _truncated_sum(contributions(), "correction bound")
+
+
+def _lift_sum(walk) -> float:
+    """The lift amplification from a walk at s = 2 chi_max with E = e^((theta - chi_max) A)."""
+    return _truncated_sum((coeff * lifted for _m, coeff, (_n, lifted) in walk), "lift bound")
 
 
 def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
@@ -221,6 +227,14 @@ def hadamard_series(A, B, t: float) -> np.ndarray:
     return commutator_series(A, B, t, start=0)
 
 
+def _correction(A, B, chi_max: float) -> tuple[list[SeriesTerm], float]:
+    """correction_terms and their total, correction_bound."""
+    A, B = as_pair(A, B)
+    if not np.isfinite(chi_max) or chi_max < 0.0:
+        raise InputError("chi_max must be finite and >= 0")
+    return _omega_rows(_walk(A, B, 2.0 * float(chi_max)))
+
+
 def correction_terms(A, B, chi_max: float) -> list[SeriesTerm]:
     """Per-order pieces of the uniform jump-correction bound.
 
@@ -228,23 +242,12 @@ def correction_terms(A, B, chi_max: float) -> list[SeriesTerm]:
     dwell deviations differ by at most 2 chi_max, so the total bounds the
     norm of every admissible comparison-jump correction.
     """
-    A, B = as_pair(A, B)
-    if not np.isfinite(chi_max) or chi_max < 0.0:
-        raise InputError("chi_max must be finite and >= 0")
-    rows: list[SeriesTerm] = []
-
-    def contributions():
-        for m, coeff, nrm in _weighted_norms(A, B, 2.0 * float(chi_max), start=1):
-            rows.append(SeriesTerm(m=m, commutator_norm=nrm, contribution=coeff * nrm))
-            yield rows[-1].contribution
-
-    _truncated_sum(contributions(), "correction bound")
-    return rows
+    return _correction(A, B, chi_max)[0]
 
 
 def correction_bound(A, B, chi_max: float) -> float:
     """Uniform norm bound omega for the comparison-jump correction."""
-    return float(sum(t.contribution for t in correction_terms(A, B, chi_max)))
+    return float(_correction(A, B, chi_max)[1])
 
 
 def lift_bound(A, B, theta: float, chi_max: float) -> float:
@@ -254,7 +257,4 @@ def lift_bound(A, B, theta: float, chi_max: float) -> float:
     """
     A, B = as_pair(A, B)
     check_window(theta, chi_max)
-    E = expm(A, theta - chi_max)
-    walk = _weighted_norms(A, B, 2.0 * float(chi_max), right=E)
-    terms = (coeff * nrm for _m, coeff, nrm in walk)
-    return float(_truncated_sum(terms, "lift bound")[0])
+    return float(_lift_sum(_walk(A, B, 2.0 * float(chi_max), expm(A, theta - chi_max))))

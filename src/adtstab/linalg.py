@@ -69,6 +69,22 @@ def as_vector(x, n: int, name: str = "x0") -> np.ndarray:
     return out
 
 
+def _norms2(stack: np.ndarray) -> np.ndarray:
+    """Operator 2-norms of a (k, n, n) stack; inf for a matrix with a
+    non-finite entry.
+
+    The 2-norm is the largest singular value, which LAPACK returns first,
+    so this has the bits of np.linalg.norm(M, 2) without its overhead.  A
+    batched call has the bits of one call per matrix.
+    """
+    finite = np.all(np.isfinite(stack), axis=(1, 2))
+    if finite.all():
+        return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    norms = np.full(len(stack), np.inf)
+    norms[finite] = np.linalg.svd(stack[finite], compute_uv=False)[:, 0]
+    return norms
+
+
 def expm(M, t: float = 1.0) -> np.ndarray:
     """Matrix exponential e^(tM); for a (k, n, n) stack M, the stack of them.
 
@@ -89,27 +105,26 @@ def expm(M, t: float = 1.0) -> np.ndarray:
     return out
 
 
-def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus."""
-    M = as_square_matrix(M)
+def _spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def spectral_norm(M) -> float:
-    """Largest singular value (operator 2-norm).
+def spectral_radius(M) -> float:
+    """Largest eigenvalue modulus."""
+    return _spectral_radius(as_square_matrix(M))
 
-    LAPACK returns the singular values in descending order, so the first
-    one has the bits of np.linalg.norm(M, 2) at about half its overhead.
-    """
-    M = as_square_matrix(M)
-    return float(np.linalg.svd(M, compute_uv=False)[0])
+
+def spectral_norm(M) -> float:
+    """Largest singular value (operator 2-norm), from _norms2."""
+    return float(_norms2(as_square_matrix(M)[None])[0])
 
 
 def _symmetric_min_eigenvalue(S: np.ndarray, name: str) -> float:
     scale = float(np.max(np.abs(S)))
     if float(np.max(np.abs(S - S.T))) > SYMMETRY_RTOL * scale:
         raise InputError(f"{name} is not symmetric within tolerance")
-    return float(np.linalg.eigvalsh(0.5 * (S + S.T))[0])
+    # halves first: a sum near the float64 limit overflows
+    return float(np.linalg.eigvalsh(0.5 * S + 0.5 * S.T)[0])
 
 
 def min_eigenvalue_sym(S) -> float:

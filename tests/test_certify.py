@@ -378,6 +378,13 @@ def test_inequality_overflow_raises_convergence_error(magnitude, chi_max):
         st.search_p0(A, B, 1.0, chi_max, 1.0, np.pi)
 
 
+def test_inequality_overflow_of_b_p0_raises_convergence_error(ref):
+    # B, P0 and every factor are finite; B P0 is not
+    B = np.array([[10.0, 0.3], [0.1, 9.0]])
+    with pytest.raises(st.ConvergenceError, match="^jump inequality overflowed at omega = 0.5$"):
+        st.inequality_lhs(1e308 * np.eye(2), ref.A, B, ref.theta, ref.mu, ref.ell, 0.5)
+
+
 def test_report_inputs_carry_fixed_series_settings(ref):
     doc = st.evaluate_certificate(ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell).to_doc()
     assert doc["inputs"]["rel_tol"] == st.commutators.REL_TOL == 1e-12
@@ -388,12 +395,13 @@ def _period_flows(flows, A, theta):
 
 
 def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls):
+    # omega and the lift amplification come from one walk of {B, A^m}
     point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
-    bounds = record_calls(commutators.correction_bound)
+    walks = record_calls(commutators._commutators)
     flows = record_calls(linalg.expm)
     p0 = st.search_p0(*point)
     doc = st.evaluate_certificate(*point, p0=p0).to_doc()
-    assert len(bounds) == 1
+    assert len(walks) == 1
     assert len(_period_flows(flows, ref.A, ref.theta)) == 1
     assert doc == st.CertificateProblem(*point).evaluate(p0).to_doc()
 

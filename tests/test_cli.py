@@ -82,8 +82,12 @@ def test_certify_semigroup_overflow_exit2(ref_config_path, tmp_path, capsys):
     assert "error: matrix exponential overflowed" in capsys.readouterr().err
 
 
-# Phi = B e^(theta A) overflows at B = diag(1e200, 1); (pi mu / ell)^2 at mu = 1e160
+# Phi = B e^(theta A) overflows at B = diag(1e200, 1); (pi mu / ell)^2 at mu = 1e160;
+# B P0 at a valid P0 = 1e308 id and |B| ~ 10
+HUGE_P0 = {"run.p0": [1e308, 0.0, 0.0, 1e308]}
 CERTIFY_OVERFLOWS = {
+    "p0": ({**HUGE_P0, "system.B": [10.0, 0.3, 0.1, 9.0]},
+           "error: jump inequality overflowed at omega = 0.363914"),
     "phi": ({"system.A": [300.0, 0.0, 0.0, -3.0], "system.B": [1e200, 0.0, 0.0, 1.0]},
             "error: monodromy B e^(theta A) overflowed at theta = 1"),
     "rate": ({"pde.mu": 1e160, "pde.ell": 1.0},
@@ -274,7 +278,8 @@ def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, record_cal
     A = np.reshape(base["system"]["A"], (2, 2))
     patches = None if jitter is None else {"schedule.chi_max": jitter * theta}
     cfg = _patched_config(ref_config_path, tmp_path, patches)
-    bounds = record_calls(commutators.correction_bound)
+    # omega and the lift amplification come from one walk of {B, A^m}
+    walks = record_calls(commutators._commutators)
     flows = record_calls(linalg.expm)
     out = tmp_path / "report.json"
     assert main(["certify", "--config", str(cfg), "--output", str(out), "--quiet"]) == code
@@ -283,7 +288,7 @@ def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, record_cal
         if (args[1] if len(args) > 1 else kwargs.get("t", 1.0)) == theta
         and np.array_equal(args[0], A)
     ]
-    assert len(bounds) == 1
+    assert len(walks) == 1
     assert len(period_flows) == 1
 
 
@@ -366,6 +371,18 @@ def test_certify_inequality_overflow_exit2(ref_config_path, tmp_path, capsys, ma
     captured = capsys.readouterr()
     assert captured.out == ""
     assert re.fullmatch(r"error: jump inequality overflowed at omega = \S+\n", captured.err)
+
+
+def test_certify_huge_p0_scales_the_margin(ref_config_path, tmp_path):
+    # the inequality is homogeneous in P0, and no step of it overflows here
+    # (an overflow warning would be an error under the pytest settings)
+    unit, huge = tmp_path / "unit.json", tmp_path / "huge.json"
+    cfg = _patched_config(ref_config_path, tmp_path, {"run.p0": [1.0, 0.0, 0.0, 1.0]})
+    assert main(["certify", "--config", str(cfg), "--output", str(unit), "--quiet"]) == 0
+    cfg = _patched_config(ref_config_path, tmp_path, HUGE_P0, name="huge_cfg.json")
+    assert main(["certify", "--config", str(cfg), "--output", str(huge), "--quiet"]) == 0
+    margin = json.loads(huge.read_text())["margin"]
+    assert margin == pytest.approx(1e308 * json.loads(unit.read_text())["margin"], rel=1e-12)
 
 
 def test_output_is_only_file_written(ref_config_path, tmp_path, monkeypatch):

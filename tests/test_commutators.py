@@ -4,7 +4,14 @@ from math import factorial
 import numpy as np
 import pytest
 
-from adtstab import ADT, ADT_PLUS, ConvergenceError, InputError, generate_schedule
+from adtstab import (
+    ADT,
+    ADT_PLUS,
+    CertificateProblem,
+    ConvergenceError,
+    InputError,
+    generate_schedule,
+)
 from adtstab.commutators import (
     REL_TOL,
     TERM_CAP,
@@ -321,9 +328,11 @@ def _reference_norm_series(A, B, s, start, right=None):
 
 def _check_bounds_bitwise(A, B, chi_max, lift_chi_max, theta_gap=0.5):
     """correction_terms at chi_max and lift_bound at lift_chi_max (theta =
-    lift_chi_max + theta_gap) against the per-term loop; returns the last
-    order each series used."""
-    rows, _ = _reference_norm_series(A, B, 2.0 * chi_max, 1)
+    lift_chi_max + theta_gap) against the per-term loop, and so omega and
+    the lift amplification of one CertificateProblem at chi_max (theta =
+    chi_max + theta_gap), which reads both from one walk of {B, A^m};
+    returns the last order each of the three series used."""
+    rows, omega = _reference_norm_series(A, B, 2.0 * chi_max, 1)
     got = [(r.m, r.commutator_norm, r.contribution) for r in correction_terms(A, B, chi_max)]
     assert [(m, a.hex(), b.hex()) for m, a, b in got] == [
         (m, a.hex(), b.hex()) for m, a, b in rows
@@ -333,33 +342,49 @@ def _check_bounds_bitwise(A, B, chi_max, lift_chi_max, theta_gap=0.5):
         A, B, 2.0 * lift_chi_max, 0, expm(A, theta - lift_chi_max)
     )
     assert lift_bound(A, B, theta, lift_chi_max).hex() == lift.hex()
-    return rows[-1][0], lift_rows[-1][0]
+    theta = chi_max + theta_gap
+    shared_rows, shared_lift = _reference_norm_series(
+        A, B, 2.0 * chi_max, 0, expm(A, theta - chi_max)
+    )
+    report = CertificateProblem(A, B, theta, chi_max, 1.0, np.pi).evaluate()
+    assert report.omega.hex() == omega.hex()
+    assert report.lift_amplification.hex() == shared_lift.hex()
+    return rows[-1][0], lift_rows[-1][0], shared_rows[-1][0]
 
 
 # the norms are taken NORM_CHUNK = 8 orders at a time: orders 8..15 form
 # the second chunk, so a series whose last order is 14, 15 or 16 ends just
-# before, exactly on or just after a chunk boundary
+# before, exactly on or just after a chunk boundary.  Each row gives the
+# last order of the correction, of the lift and of the problem's lift at
+# chi_max; the problem's lift stops in an earlier chunk than its correction
+# in the rows (2, 0.47) and (8, 0.10), and in a later one in (4, 0.24).
+BOUNDARY_ROWS = [
+    (2, 0.26, 0.31, 0.5, (14, 14, 13)), (2, 0.36, 0.40, 0.5, (15, 15, 14)),
+    (2, 0.47, 0.52, 0.5, (16, 16, 15)), (4, 0.14, 0.15, 0.5, (14, 14, 13)),
+    (4, 0.19, 0.20, 0.5, (15, 15, 14)), (4, 0.25, 0.25, 0.5, (16, 16, 16)),
+    (4, 0.24, 0.24, 5.0, (15, 16, 16)), (8, 0.06, 0.07, 0.5, (14, 14, 13)),
+    (8, 0.07, 0.09, 0.5, (15, 15, 14)), (8, 0.10, 0.11, 0.5, (16, 16, 15)),
+]
+
+
 @pytest.mark.parametrize(
-    "n, chi_max, lift_chi_max, last_m",
-    [
-        (2, 0.26, 0.31, 14), (2, 0.36, 0.40, 15), (2, 0.47, 0.52, 16),
-        (4, 0.14, 0.15, 14), (4, 0.19, 0.20, 15), (4, 0.25, 0.25, 16),
-        (8, 0.06, 0.07, 14), (8, 0.07, 0.09, 15), (8, 0.10, 0.11, 16),
-    ],
+    "n, chi_max, lift_chi_max, theta_gap, last",
+    BOUNDARY_ROWS,
+    ids=[f"{n}-{c}-{lc}-{last[0]}" for n, c, lc, _gap, last in BOUNDARY_ROWS],
 )
-def test_bound_series_are_bitwise_the_per_term_loop(n, chi_max, lift_chi_max, last_m):
+def test_bound_series_are_bitwise_the_per_term_loop(n, chi_max, lift_chi_max, theta_gap, last):
     rng = np.random.default_rng(100 + n)
     A = rng.uniform(-1, 1, (n, n))
     B = rng.uniform(-1, 1, (n, n))
-    assert _check_bounds_bitwise(A, B, chi_max, lift_chi_max) == (last_m, last_m)
+    assert _check_bounds_bitwise(A, B, chi_max, lift_chi_max, theta_gap) == last
 
 
 def test_bound_series_of_a_commuting_pair_are_the_per_term_loop():
     A = np.diag([1.0, 2.0, -0.5])
     B = np.diag([3.0, -1.0, 0.25])
     # every commutator vanishes: the correction stops after three zero
-    # terms, the lift after its base term and three zero terms
-    assert _check_bounds_bitwise(A, B, 0.3, 0.3) == (3, 3)
+    # terms, each lift after its base term and three zero terms
+    assert _check_bounds_bitwise(A, B, 0.3, 0.3) == (3, 3, 3)
 
 
 def test_bound_series_ignore_an_unread_overflowing_term():

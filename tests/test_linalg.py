@@ -211,3 +211,8 @@ def test_check_spd():
         check_spd(np.diag([1.0, -2.0]))
     with pytest.raises(InputError):
         check_spd(np.array([[1.0, 0.2], [0.0, 1.0]]))
+    # near the float64 limit: the symmetrization halves before it adds,
+    # so no overflow warning (an error under pytest) and no inf entries
+    big = 1e308 * np.eye(2)
+    assert np.array_equal(check_spd(big), big)
+    assert min_eigenvalue_sym(big) == 1e308
