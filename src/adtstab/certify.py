@@ -36,8 +36,6 @@ from .linalg import (
     check_positive,
     check_spd,
     expm,
-    is_hurwitz,
-    spectral_norm,
 )
 from .schedules import check_window
 
@@ -113,9 +111,10 @@ class CertificateProblem:
     Everything that does not depend on P0 is formed once on construction:
     E = e^(theta A) and Phi = B E (both read-only), the diffusive rate
     pi^2 mu^2 / ell^2, the discount, omega and the lift amplification, the
-    last two from one walk of {B, A^m}.  omega defaults to the correction
-    bound at chi_max; an explicit value poses the inequality for that omega
-    instead.  A rate times theta that leaves float64 raises ConvergenceError.
+    last two from one walk of {B, A^m}; E and the lift's flow come from one
+    expm call.  omega defaults to the correction bound at chi_max; an
+    explicit value poses the inequality for that omega instead.  A rate
+    times theta that leaves float64 raises ConvergenceError.
     """
 
     A: np.ndarray
@@ -140,7 +139,7 @@ class CertificateProblem:
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.omega is not None and not (np.isfinite(self.omega) and self.omega >= 0.0):
             raise InputError("omega must be finite and >= 0")
-        E = expm(A, self.theta)
+        E, lift_flow = expm(A, (self.theta, self.theta - self.chi_max))
         # a numpy scalar squares to inf where a Python float's ** would raise
         with np.errstate(over="ignore"):
             rate = float(np.float64(math.pi * self.mu / self.ell) ** 2)
@@ -150,7 +149,6 @@ class CertificateProblem:
             )
         phi = _jump_after_flow(B, E, self.theta)
         # walked after Phi, so a lift that overflows with Phi reports Phi's overflow
-        lift_flow = expm(A, self.theta - self.chi_max)
         walk, lift_walk = tee(_walk(A, B, 2.0 * self.chi_max, lift_flow))
         omega = _omega_rows(walk)[1] if self.omega is None else self.omega
         E.setflags(write=False)
@@ -203,14 +201,14 @@ class CertificateProblem:
             with warnings.catch_warnings():
                 warnings.simplefilter("error", LinAlgWarning)
                 P = solve_discrete_lyapunov(
-                    math.sqrt(self.discount) * self.phi.T, Q / spectral_norm(Q)
+                    math.sqrt(self.discount) * self.phi.T, Q / _norms2(Q[None])[0]
                 )
         except (LinAlgWarning, LinAlgError):
             return None
         if not np.all(np.isfinite(P)):
             return None
         P = 0.5 * P + 0.5 * P.T  # halves first: a sum near the float64 limit overflows
-        P = P / spectral_norm(P)
+        P = P / _norms2(P[None])[0]
         # P is exactly symmetric here, so eigvalsh reads it without a symmetry check
         return P if np.linalg.eigvalsh(P)[0] > 0.0 and self.margin(P) > 0.0 else None
 
@@ -236,8 +234,9 @@ class CertificateProblem:
             margin=margin,
             phi=self.phi,
             p0=p0,
-            # A - rate id is formed here and may overflow, so it is checked
-            shifted_a_hurwitz=is_hurwitz(A - self.rate * np.eye(A.shape[0])),
+            # A - rate id is Hurwitz iff every eigenvalue of A lies left of
+            # rate; forming A - rate id could overflow
+            shifted_a_hurwitz=bool(np.max(np.linalg.eigvals(A).real) < self.rate),
             b_schur=_spectral_radius(B) < 1.0,
             lift_amplification=self._lift,
             inputs={
@@ -254,24 +253,24 @@ class CertificateProblem:
 
 
 @functools.lru_cache(maxsize=1)
-def _memo(a: bytes, b: bytes, scalars: bytes) -> CertificateProblem:
-    n = math.isqrt(len(a) // 8)
+def _memo(a: bytes, a_shape, b: bytes, b_shape, scalars: bytes) -> CertificateProblem:
     # read-only views of the key's own bytes, so no caller array is shared
-    A, B = (np.frombuffer(x).reshape(n, n) for x in (a, b))
+    A, B = np.frombuffer(a).reshape(a_shape), np.frombuffer(b).reshape(b_shape)
     return CertificateProblem(A, B, *struct.unpack(f"{len(scalars) // 8}d", scalars))
 
 
 def _problem(A, B, theta, chi_max, mu, ell, omega=None) -> CertificateProblem:
     """The problem at one point, shared by consecutive calls at the same point.
 
-    A one-slot memo is keyed on the bits of the coerced A and B and of the
-    scalars, so an in-place edit of A or a chi_max of -0.0 against 0.0 never
-    reuses an entry; search_p0 followed by evaluate_certificate then forms
-    omega and e^(theta A) once.
+    A one-slot memo is keyed on the bits and shapes of the coerced A and B
+    and on the scalars' bits, so an in-place edit of A or a chi_max of -0.0
+    against 0.0 never reuses an entry; search_p0 then evaluate_certificate
+    check A and B and form omega and e^(theta A) once, on the miss.
     """
-    A, B = as_pair(A, B)
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     scalars = (theta, chi_max, mu, ell) + (() if omega is None else (omega,))
-    return _memo(A.tobytes(), B.tobytes(), struct.pack(f"{len(scalars)}d", *scalars))
+    packed = struct.pack(f"{len(scalars)}d", *scalars)
+    return _memo(A.tobytes(), A.shape, B.tobytes(), B.shape, packed)
 
 
 def inequality_lhs(

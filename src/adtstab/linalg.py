@@ -1,8 +1,8 @@
 """Dense real matrix kernels used by the rest of the toolkit.
 
-Everything operates on square float64 arrays and is a pure function.
-Eigenvalue, singular value and exponential work is delegated to LAPACK via
-numpy/scipy; the operator 2-norm is the norm convention throughout.
+Every function is pure and takes square float64 arrays (expm also a 1-D
+array of times, all for one matrix).  Eigenvalue, singular value and exponential
+work goes to LAPACK via numpy/scipy; the operator 2-norm is the norm throughout.
 """
 
 from __future__ import annotations
@@ -29,14 +29,10 @@ __all__ = [
 ]
 
 
-def as_square_matrix(M, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Coerce to a float64 n-by-n array, rejecting non-finite entries.
-
-    With stack true a (k, n, n) stack of such matrices is accepted as well.
-    """
+def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
+    """Coerce to a float64 n-by-n array, rejecting non-finite entries."""
     out = np.asarray(M, dtype=float)
-    ndims = (2, 3) if stack else (2,)
-    if out.ndim not in ndims or out.shape[-1] != out.shape[-2] or out.shape[-1] < 1:
+    if out.ndim != 2 or out.shape[0] != out.shape[1] or out.shape[0] < 1:
         raise InputError(f"{name} must be square with n >= 1, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise InputError(f"{name} has non-finite entries")
@@ -85,23 +81,22 @@ def _norms2(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-def expm(M, t: float = 1.0) -> np.ndarray:
-    """Matrix exponential e^(tM); for a (k, n, n) stack M, the stack of them.
+def expm(M, t: float | np.ndarray = 1.0) -> np.ndarray:
+    """Matrix exponential e^(tM); for a 1-D array of times, the stack of e^(t_i M).
 
-    One stacked call returns the same bits as k separate ones.  A result
-    that overflows raises ConvergenceError instead of returning inf or NaN.
+    Each slice has the bits of a call for its time alone.  A product t M or
+    a result that overflows raises ConvergenceError naming the first such t.
     """
-    M = as_square_matrix(M, stack=True)
-    if not np.isfinite(t):
-        raise InputError("t must be finite")
+    M = as_square_matrix(M)
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1 or not np.all(np.isfinite(t)):
+        raise InputError(f"t must be finite, one time or a 1-D array of times, got shape {t.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _scipy_expm(t * M)
-    if not np.all(np.isfinite(out)):
-        where = ""
-        if out.ndim == 3:
-            bad = np.flatnonzero(~np.all(np.isfinite(out), axis=(1, 2)))
-            where = f" for stack entries {bad[0]}..{bad[-1]} of {len(out)}"
-        raise ConvergenceError(f"matrix exponential overflowed at t = {t:g}{where}")
+        out = _scipy_expm(np.multiply.outer(t, M))
+    finite = np.all(np.isfinite(out), axis=(-2, -1)).reshape(-1)
+    if not finite.all():
+        first = t.reshape(-1)[np.argmin(finite)]
+        raise ConvergenceError(f"matrix exponential overflowed at t = {first:g}")
     return out
 
 

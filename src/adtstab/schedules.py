@@ -78,6 +78,11 @@ class ValidationReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+def _lowest_deviation(chi_max: float, variant: str) -> float:
+    """Lower end of the variant's deviation window: -chi_max for "adt", 0 for "adt_plus"."""
+    return -chi_max if variant == ADT else 0.0
+
+
 def check_window(theta: float, chi_max: float) -> None:
     """Reject a deviation bound outside 0 <= chi_max < theta (theta finite)."""
     if not (np.isfinite(theta) and 0.0 <= chi_max < theta):
@@ -113,7 +118,7 @@ def generate(
     if count < 1:
         raise InputError("count must be >= 1")
     rng = np.random.default_rng(seed)
-    lo = -chi_max if variant == ADT else 0.0
+    lo = _lowest_deviation(chi_max, variant)
     chis = [0.0]
     for _k in range(1, int(count)):
         for _attempt in range(MAX_RETRIES):
@@ -162,7 +167,7 @@ def validate(schedule: ImpulseSchedule) -> ValidationReport:
         )
     )
 
-    lo = -schedule.chi_max if schedule.variant == ADT else 0.0
+    lo = _lowest_deviation(schedule.chi_max, schedule.variant)
     excess = np.maximum(lo - chis, chis - schedule.chi_max)
     excess[~np.isfinite(chis)] = np.inf  # NaN compares false, so fail it outright
     if np.max(excess) > 0.0:

@@ -3,12 +3,12 @@
 Between impulse instants every state is obtained from the segment's
 post-jump state by a matrix exponential, so there is no time-stepping
 error beyond the accuracy of expm itself.  A segment's events go in blocks
-of at most FLOW_BLOCK, and each block is evolved from one stacked expm
-call as one array operation; norms and CSV rows are formed per array, not
-per state.  Three simulators are
-provided: the original system on its jittered schedule, the
-dwell-normalized comparison system on the uniform grid, and a parabolic
-model whose sine modes evolve independently under shifted generators.
+of at most FLOW_BLOCK, and each block is evolved as one array operation
+from one expm(A, dts) call at all of its offsets dts; norms and CSV rows
+are formed per array, not per state.  Three simulators are provided: the
+original system on its jittered schedule, the dwell-normalized comparison
+system on the uniform grid, and a parabolic model whose sine modes evolve
+independently under shifted generators.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 from .commutators import commutator_series_stack
 from .errors import ConvergenceError, InputError
 from .linalg import as_vector, check_positive, expm
-from .schedules import ADT, ImpulseSchedule, require_valid
+from .schedules import ImpulseSchedule, _lowest_deviation, require_valid
 from .serialize import fmt
-from .systems import ImpulsiveSystem, _deviation_span, lifted_initial
+from .systems import ImpulsiveSystem, lifted_initial
 
 __all__ = [
     "Trajectory",
@@ -133,7 +133,7 @@ def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
     return ts[ts <= t_end + 1e-12 * max(1.0, abs(t_end))]
 
 
-# most sample offsets in one stacked expm call; bounds its working memory
+# most sample offsets in one expm call; bounds its working memory
 FLOW_BLOCK = 256
 
 
@@ -167,7 +167,7 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norms_o
     """Shared event loop.
 
     The events of each inter-impulse segment go in blocks of at most
-    FLOW_BLOCK through one stacked expm of A at their offsets dts from the
+    FLOW_BLOCK through one expm of A at their offsets dts from the
     segment's post-jump state; evolve(state, dts, flows) must return the
     exact states at all of them, and jump maps the block's last state when
     that event is an impulse.
@@ -189,7 +189,7 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norms_o
     with np.errstate(over="ignore", invalid="ignore"):
         for start, stop in blocks:
             dts = ts[start:stop] - seg_t
-            pre = evolve(seg_x, dts, expm(dts[:, None, None] * A))
+            pre = evolve(seg_x, dts, expm(A, dts))
             states.append(pre)
             if is_jump[stop - 1]:
                 seg_t, seg_x = ts[stop - 1], jump(pre[-1])
@@ -258,10 +258,8 @@ def simulate_comparison(
         )
     z0 = as_vector(z0, system.n)
     theta = schedule.theta
-    spans = [
-        _deviation_span(chi, schedule.chi_max, schedule.variant)
-        for chi in schedule.chis[2:int(K) + 2]
-    ]
+    lo = _lowest_deviation(schedule.chi_max, schedule.variant)
+    spans = np.asarray(schedule.chis[2:int(K) + 2]) - lo  # chi_(k+1) - lo, each in its window
     E = expm(system.A, theta)
 
     times = [0.0]
@@ -316,9 +314,9 @@ def matching_residual(
     traj_z = simulate_comparison(system, schedule, z0, K - 1)
     z_posts = [z0] + list(traj_z.post_jump_states)  # zhat(k theta+), k = 0..K-1
 
-    offset = schedule.chi_max if schedule.variant == ADT else 0.0
-    shifts = np.asarray(schedule.chis[2:K + 1]) + offset  # s_k, k = 2..K
-    flows = expm(shifts[:, None, None] * system.A)
+    lo = _lowest_deviation(schedule.chi_max, schedule.variant)
+    shifts = np.asarray(schedule.chis[2:K + 1]) - lo  # s_k, k = 2..K
+    flows = expm(system.A, shifts)
     worst = 0.0
     for k in range(2, int(K) + 1):
         predicted = flows[k - 2] @ z_posts[k - 1]

@@ -15,7 +15,7 @@ import numpy as np
 from .commutators import commutator_series
 from .errors import InputError
 from .linalg import as_pair, as_vector, expm
-from .schedules import ADT, VARIANTS, check_window
+from .schedules import ADT, VARIANTS, _lowest_deviation, check_window
 
 __all__ = [
     "ImpulsiveSystem",
@@ -56,13 +56,13 @@ def _deviation_span(chi_next: float, chi_max: float, variant: str) -> float:
         raise InputError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if not np.isfinite(chi_next) or not np.isfinite(chi_max) or chi_max < 0.0:
         raise InputError("chi_next and chi_max must be finite with chi_max >= 0")
-    lo = -chi_max if variant == ADT else 0.0
+    lo = _lowest_deviation(chi_max, variant)
     if not lo <= chi_next <= chi_max:
         raise InputError(
             f"chi_next = {chi_next:.6g} outside [{lo:.6g}, {chi_max:.6g}] for {variant}"
         )
     # series argument: worst-case left shift plus the upcoming deviation
-    return chi_max + chi_next if variant == ADT else chi_next
+    return chi_next - lo
 
 
 def comparison_jump(
@@ -95,6 +95,6 @@ def lifted_initial(
     check_window(theta, chi_max)
     x0 = as_vector(x0, system.n)
     s = _deviation_span(chi_1, chi_max, variant)
-    flow = theta - chi_max if variant == ADT else theta
+    flow = theta + _lowest_deviation(chi_max, variant)
     S = commutator_series(system.A, system.B, s, start=0)
     return S @ (expm(system.A, flow) @ x0)

@@ -110,6 +110,17 @@ def test_semigroup_overflow_raises_convergence_error():
         st.evaluate_certificate(A, B, 1.0, 0.1, 1.0, np.pi)
 
 
+def test_shifted_hurwitz_at_a_rate_near_the_float64_limit():
+    # rate = pi^2 mu^2 / ell^2 ~ 1e308, so A - rate id would leave float64;
+    # every eigenvalue of A lies left of the rate
+    A, B = np.diag([-1.5e308, -1.0]), np.diag([0.5, 0.5])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = st.evaluate_certificate(A, B, 1.0, 0.1, math.sqrt(1e308) / math.pi, 1.0)
+    assert rep.shifted_a_hurwitz
+    assert rep.omega == 0.0
+
+
 def test_fast_flow_with_tiny_jump_certifies():
     # e^(300 t) overflows only for t > ~2.37, beyond theta = 1: nothing the
     # verdict reads leaves float64, so the point is decided
@@ -199,6 +210,17 @@ def test_certificate_validation(ref):
         st.evaluate_certificate(ref.A, ref.B, ref.theta, ref.chi_max, 0.0, ref.ell)
     with pytest.raises(st.InputError):
         st.evaluate_certificate(ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, -1.0)
+    # the memo keys on raw bits and shapes; the problem it builds checks A and B
+    point = (ref.theta, ref.chi_max, ref.mu, ref.ell)
+    for A, B, message in (
+        (ref.A, ref.B.reshape(1, 4), "^B must be square"),
+        (np.zeros((0, 0)), np.zeros((0, 0)), "^A must be square"),
+        (ref.A, np.eye(3), "^A and B must share a dimension"),
+        (np.full((2, 2), np.nan), ref.B, "^A has non-finite entries"),
+    ):
+        for entry in (st.search_p0, st.evaluate_certificate):
+            with pytest.raises(st.InputError, match=message):
+                entry(A, B, *point)
 
 
 def test_search_p0_prefers_identity(ref):
@@ -391,18 +413,27 @@ def test_report_inputs_carry_fixed_series_settings(ref):
 
 
 def _period_flows(flows, A, theta):
-    return [args for args, _ in flows if args[1] == theta and np.array_equal(args[0], A)]
+    """The logged expm(A, t) calls whose times t include theta."""
+    return [
+        args for args, _ in flows
+        if theta in np.atleast_1d(args[1]) and np.array_equal(args[0], A)
+    ]
 
 
 def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls):
-    # omega and the lift amplification come from one walk of {B, A^m}
+    # omega and the lift amplification come from one walk of {B, A^m}, E and
+    # the lift's flow from one expm call, and the memo keys on the raw bits,
+    # so A and B are checked once, when the problem is built
     point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
     walks = record_calls(commutators._commutators)
     flows = record_calls(linalg.expm)
+    checks = record_calls(linalg.as_square_matrix)
     p0 = st.search_p0(*point)
     doc = st.evaluate_certificate(*point, p0=p0).to_doc()
     assert len(walks) == 1
-    assert len(_period_flows(flows, ref.A, ref.theta)) == 1
+    assert len(flows) == len(_period_flows(flows, ref.A, ref.theta)) == 1
+    names = [args[1] if len(args) > 1 else kwargs.get("name") for args, kwargs in checks]
+    assert names.count("A") == names.count("B") == 1
     assert doc == st.CertificateProblem(*point).evaluate(p0).to_doc()
 
 

@@ -285,11 +285,11 @@ def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, record_cal
     assert main(["certify", "--config", str(cfg), "--output", str(out), "--quiet"]) == code
     period_flows = [
         args for args, kwargs in flows
-        if (args[1] if len(args) > 1 else kwargs.get("t", 1.0)) == theta
+        if theta in np.atleast_1d(args[1] if len(args) > 1 else kwargs.get("t", 1.0))
         and np.array_equal(args[0], A)
     ]
     assert len(walks) == 1
-    assert len(period_flows) == 1
+    assert len(flows) == len(period_flows) == 1
 
 
 def test_omega_table(ref_config_path, tmp_path):

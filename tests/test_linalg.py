@@ -65,18 +65,18 @@ def test_expm_semigroup_property():
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 def test_expm_stack_equals_per_matrix_scipy(n):
-    # one stacked call must return the bits of separate scipy calls, also
-    # for t = 0 and for the diagonal and triangular slices scipy special-cases
+    # e^(t_i A) from one call on a 1-D array of times has the bits of a call
+    # per time and of scipy on t_i A, also for t = 0 and for the diagonal
+    # and triangular A that scipy special-cases
     rng = np.random.default_rng(n)
     M = rng.uniform(-2.0, 2.0, (n, n))
     ts = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 12))])
-    stack = np.concatenate(
-        [ts[:, None, None] * M, [np.diag(np.diag(M)), np.triu(M), np.tril(M)]]
-    )
-    out = expm(stack)
-    assert out.shape == (len(stack), n, n)
-    assert np.array_equal(out, [scipy.linalg.expm(S) for S in stack])
-    assert np.array_equal(expm(stack, 0.5), [scipy.linalg.expm(0.5 * S) for S in stack])
+    for A in (M, np.diag(np.diag(M)), np.triu(M), np.tril(M)):
+        out = expm(A, ts)
+        assert out.shape == (len(ts), n, n)
+        for i, t in enumerate(ts):
+            assert np.array_equal(out[i], expm(A, t))
+            assert np.array_equal(out[i], scipy.linalg.expm(t * A))
 
 
 def test_expm_overflow_raises_convergence_error():
@@ -84,18 +84,22 @@ def test_expm_overflow_raises_convergence_error():
     assert np.isfinite(expm(A, 1.0)).all()
     with pytest.raises(ConvergenceError, match=r"overflowed at t = 3$"):
         expm(A, 3.0)
+    # e^(300 t) leaves float64 past t ~ 2.37: the first such time is named
     grid = np.linspace(0.0, 3.0, 10)
-    with pytest.raises(ConvergenceError, match=r"stack entries 8\.\.9 of 10"):
-        expm(grid[:, None, None] * A)
+    with pytest.raises(ConvergenceError, match=r"overflowed at t = 2\.66667$"):
+        expm(A, grid)
+    # t A itself leaves float64
+    with pytest.raises(ConvergenceError, match=r"overflowed at t = 2$"):
+        expm(np.array([[0.0, 1e308], [0.0, 0.0]]), 2.0)
 
 
 def test_expm_stack_shape_checks():
-    with pytest.raises(InputError):
-        expm(np.zeros((3, 2, 3)))
-    with pytest.raises(InputError):
-        expm(np.zeros((2, 2, 2, 2)))
-    with pytest.raises(InputError):
-        expm(np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
+    with pytest.raises(InputError, match="must be square"):
+        expm(np.zeros((3, 2, 2)), [0.5, 1.0, 2.0])
+    with pytest.raises(InputError, match=r"1-D array of times, got shape \(2, 2\)"):
+        expm(np.eye(2), np.ones((2, 2)))
+    with pytest.raises(InputError, match="^t must be finite"):
+        expm(np.eye(2), [0.5, np.inf])
     with pytest.raises(InputError):
         spectral_norm(np.zeros((3, 2, 2)))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -362,6 +363,18 @@ def test_overflowing_comparison_raises_convergence_error():
     system = st.ImpulsiveSystem(A=np.zeros((2, 2)), B=1e200 * np.eye(2))
     with pytest.raises(st.ConvergenceError, match=r"overflowed at t = 3$"):
         st.simulate_comparison(system, sched, [1e-250, 0.0], 5)
+
+
+def test_overflowing_flow_product_raises_convergence_error():
+    # dt A leaves float64 for every dwell near theta = 2, although A is finite
+    system = st.ImpulsiveSystem(A=np.array([[0.0, 1e308], [0.0, 0.0]]), B=np.eye(2))
+    sched = st.generate_schedule(0.0, 2.0, 0.1, 6, st.ADT, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(st.ConvergenceError, match="^matrix exponential overflowed at t = "):
+            st.simulate_ode(system, sched, [1.0, 0.0], 5.0, 0.5)
+        with pytest.raises(st.ConvergenceError, match="^matrix exponential overflowed at t = "):
+            st.matching_residual(system, sched, [1.0, 0.0], 3)
 
 
 def test_modal_blocks_share_one_check(ref_model):
