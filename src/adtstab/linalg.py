@@ -1,18 +1,35 @@
 """Dense real matrix kernels used by the rest of the toolkit.
 
 Every function is pure and takes square float64 arrays (expm also a 1-D
-array of times, all for one matrix).  Eigenvalue, singular value and exponential
-work goes to LAPACK via numpy/scipy; the operator 2-norm is the norm throughout.
+array of times, all for one matrix).  Eigenvalue, singular value and solve
+work goes to LAPACK via numpy; the operator 2-norm is the norm throughout.
+The matrix exponential is a stacked scaling and squaring on a degree-13
+Pade approximant, built on powers of A shared by every time in the stack.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import expm as _scipy_expm
 
 from .errors import ConvergenceError, InputError
 
 SYMMETRY_RTOL = 1e-12
+
+# Pade-13 coefficients b_q / b_0 and theta_13 (Higham, SIAM J. Matrix Anal.
+# Appl. 26(4), 2005).  A slice's weights b_q c^q come from one running
+# product of c b_q / b_(q-1).  Row p of _PADE_IDX picks the weights of the
+# shared power N^6, N^4 or N^2 in U's outer and inner sum, then V's; the
+# inner sums add b_1 c and b_0 times the identity.
+_PADE_B = np.array([
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+])
+_PADE_RATIO = _PADE_B[1:] / _PADE_B[:-1]
+_PADE_IDX = np.array([[13, 7, 12, 6], [11, 5, 10, 4], [9, 3, 8, 2]])
+THETA_13 = 5.371920351148152
 
 __all__ = [
     "as_square_matrix",
@@ -34,7 +51,7 @@ def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
     out = np.asarray(M, dtype=float)
     if out.ndim != 2 or out.shape[0] != out.shape[1] or out.shape[0] < 1:
         raise InputError(f"{name} must be square with n >= 1, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise InputError(f"{name} has non-finite entries")
     return out
 
@@ -84,20 +101,73 @@ def _norms2(stack: np.ndarray) -> np.ndarray:
 def expm(M, t: float | np.ndarray = 1.0) -> np.ndarray:
     """Matrix exponential e^(tM); for a 1-D array of times, the stack of e^(t_i M).
 
-    Each slice has the bits of a call for its time alone.  A product t M or
-    a result that overflows raises ConvergenceError naming the first such t.
+    Scaling and squaring on the degree-13 Pade approximant, with every
+    slice built from the powers N^2, N^4, N^6 of N = M / max |M_ij|, formed
+    once per call.  Slice i is squared s_i >= 0 times, the binary exponent
+    of |t_i| max |M_ij| max(||N^4||_1^(1/4), ||N^6||_1^(1/6)) / theta_13
+    (the bound of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3),
+    2009), or more where needed to keep its scaled time below 2^64.  Every
+    per-slice step is elementwise or one LAPACK/BLAS call per slice, so a
+    slice has the bits of a call for its time alone, whatever the other
+    times of its stack.  A product t M or a result that leaves float64
+    raises ConvergenceError naming the first such t.
     """
     M = as_square_matrix(M)
     t = np.asarray(t, dtype=float)
-    if t.ndim > 1 or not np.all(np.isfinite(t)):
+    if t.ndim > 1:
         raise InputError(f"t must be finite, one time or a 1-D array of times, got shape {t.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _scipy_expm(np.multiply.outer(t, M))
-    finite = np.all(np.isfinite(out), axis=(-2, -1)).reshape(-1)
-    if not finite.all():
-        first = t.reshape(-1)[np.argmin(finite)]
-        raise ConvergenceError(f"matrix exponential overflowed at t = {first:g}")
-    return out
+    ts, n = t.reshape(-1), len(M)
+    scale = float(np.abs(M).max())
+    tmax = float(np.abs(ts).max(initial=0.0)) * scale  # nan for a nan time
+    if not tmax < np.inf:
+        _refuse(M, t, scale)
+    N = M / scale if scale else M
+    P = np.empty((3, n, n))  # N^6, N^4, N^2
+    np.matmul(N, N, out=P[2])
+    np.matmul(P[2], P[2], out=P[1])
+    np.matmul(P[1], P[2], out=P[0])
+    d6, d4 = np.abs(P[:2]).sum(axis=1).max(axis=1).tolist()
+    rate = max(max(d4**0.25, d6 ** (1 / 6)) / THETA_13, 2.0**-64)
+    # slice i is squared s_i times, so that its scaled time c = t scale / 2^s
+    # has |c| max(d4, d6) < theta_13 and |c| < 2^64; frexp gives the exponents
+    c, squarings = ts * scale, math.frexp(tmax * rate)[1]
+    if squarings > 0:
+        s = np.maximum(np.frexp(c * rate)[1], 0)
+        c = np.ldexp(c, -s)
+    w = np.ones((len(ts), 14))  # b_q c^q
+    np.multiply.outer(c, _PADE_RATIO, out=w[:, 1:])
+    np.multiply.accumulate(w, axis=1, out=w)
+    # elementwise, in a fixed order: a BLAS product here could change a
+    # slice's last bits with the number of slices
+    W, P2 = w[:, _PADE_IDX, None], P.reshape(3, 1, n * n)
+    G = W[:, 0] * P2[0]
+    G += W[:, 1] * P2[1]
+    G += W[:, 2] * P2[2]
+    G[:, 1::2, :: n + 1] += w[:, 1::-1, None]
+    G = G.reshape(-1, 4, n, n)
+    Y = P[0] @ G[:, ::2] + G[:, 1::2]  # N^6 times the outer sums, plus the inner
+    U = N @ Y[:, 0]
+    X = np.linalg.solve(Y[:, 1] - U, Y[:, 1] + U)
+    if squarings > 0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(squarings):
+                X = np.where((s > j)[:, None, None], X @ X, X)
+    if not np.isfinite(X).all():
+        first = np.argmin(np.isfinite(X).all(axis=(1, 2)))
+        raise ConvergenceError(f"matrix exponential overflowed at t = {ts[first]:g}")
+    return X.reshape(t.shape + (n, n))
+
+
+def _refuse(M, t, scale):
+    """Raise for a time that is not finite, else name the first t whose
+    t M or e^(tM) leaves float64."""
+    if not np.isfinite(t).all():
+        raise InputError(f"t must be finite, one time or a 1-D array of times, got shape {t.shape}")
+    ts = t.reshape(-1)
+    with np.errstate(over="ignore"):
+        first = int(np.argmin(np.abs(ts) * scale < np.inf))
+    expm(M, ts[:first])  # raises for an earlier result that overflows
+    raise ConvergenceError(f"matrix exponential overflowed at t = {ts[first]:g}")
 
 
 def _spectral_radius(M: np.ndarray) -> float:

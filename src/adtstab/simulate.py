@@ -2,13 +2,14 @@
 
 Between impulse instants every state is obtained from the segment's
 post-jump state by a matrix exponential, so there is no time-stepping
-error beyond the accuracy of expm itself.  A segment's events go in blocks
-of at most FLOW_BLOCK, and each block is evolved as one array operation
-from one expm(A, dts) call at all of its offsets dts; norms and CSV rows
-are formed per array, not per state.  Three simulators are provided: the
-original system on its jittered schedule, the dwell-normalized comparison
-system on the uniform grid, and a parabolic model whose sine modes evolve
-independently under shifted generators.
+error beyond the accuracy of expm itself.  Every event's offset dt from
+its segment's post-jump time is taken up front, and the flows at each
+FLOW_BLOCK consecutive offsets of a run come from one expm(A, dts) call,
+across segment boundaries; states go into one preallocated array, and
+norms and CSV rows are formed per array, not per state.  Three simulators
+are provided: the original system on its jittered schedule, the
+dwell-normalized comparison system on the uniform grid, and a parabolic
+model whose sine modes evolve independently under shifted generators.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
     return ts[ts <= t_end + 1e-12 * max(1.0, abs(t_end))]
 
 
-# most sample offsets in one expm call; bounds its working memory
+# most offsets in one expm call, and states per norm call; bounds working memory
 FLOW_BLOCK = 256
 
 
@@ -156,7 +157,10 @@ def _trajectory(times, states, jump_rows, norms_of) -> Trajectory:
     overflows even after rescaling (see _rescaled) raises ConvergenceError
     naming its time."""
     states = np.asarray(states)
-    norms = _rescaled(states, norms_of)
+    # FLOW_BLOCK rows at a time, so no temporary spans the trajectory
+    norms = np.concatenate(
+        [_rescaled(states[i:i + FLOW_BLOCK], norms_of) for i in range(0, len(states), FLOW_BLOCK)]
+    )
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise ConvergenceError(f"trajectory norm overflowed at t = {times[bad[0]]:g}")
@@ -166,11 +170,12 @@ def _trajectory(times, states, jump_rows, norms_of) -> Trajectory:
 def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norms_of) -> Trajectory:
     """Shared event loop.
 
-    The events of each inter-impulse segment go in blocks of at most
-    FLOW_BLOCK through one expm of A at their offsets dts from the
-    segment's post-jump state; evolve(state, dts, flows) must return the
-    exact states at all of them, and jump maps the block's last state when
-    that event is an impulse.
+    Every event's offset dt from its segment's post-jump time is taken up
+    front, and the flows at each FLOW_BLOCK consecutive offsets of the run
+    come from one expm(A, dts) call, across segment boundaries; a chunk's
+    flows are used up before the next is formed.  evolve(state, dts, flows,
+    out) writes the exact states at offsets dts from state into out, and
+    jump maps the pre-jump state of an impulse to its post-jump state.
     """
     samples = _sample_grid(tau0, t_end, sample_dt)
     ts = np.concatenate([jump_times, samples[~np.isin(samples, jump_times)]])
@@ -178,27 +183,27 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norms_o
         ts = np.append(ts, t_end)
     order = np.argsort(ts, kind="stable")
     ts, is_jump = ts[order], order < len(jump_times)
-
-    blocks, first = [], 0
-    for end in [*(np.flatnonzero(is_jump) + 1).tolist(), len(ts)]:
-        blocks += [(i, min(i + FLOW_BLOCK, end)) for i in range(first, end, FLOW_BLOCK)]
-        first = end
-
-    states = [x0[None]]
-    seg_t, seg_x = float(tau0), x0
+    segment = np.cumsum(is_jump) - is_jump  # impulses before each event
+    dts = ts - np.concatenate(([float(tau0)], ts[is_jump]))[segment]
+    # a jump event has two rows, pre-jump then post-jump; rows[i] is the first
+    rows = 1 + np.arange(len(ts)) + segment
+    states = np.empty((len(ts) + 1 + int(is_jump.sum()), *x0.shape))
+    states[0] = x = x0
+    ends = np.union1d(np.flatnonzero(is_jump) + 1, np.r_[FLOW_BLOCK:len(ts):FLOW_BLOCK, len(ts)])
+    start = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for start, stop in blocks:
-            dts = ts[start:stop] - seg_t
-            pre = evolve(seg_x, dts, expm(A, dts))
-            states.append(pre)
+        for stop in ends.tolist():
+            at = start % FLOW_BLOCK
+            if at == 0:
+                flows = expm(A, dts[start:start + FLOW_BLOCK])
+            row, count = rows[start], stop - start
+            evolve(x, dts[start:stop], flows[at:at + count], states[row:row + count])
             if is_jump[stop - 1]:
-                seg_t, seg_x = ts[stop - 1], jump(pre[-1])
-                states.append(seg_x[None])
-    states = np.concatenate(states)  # frees the blocks before the norms are taken
-    # a jump event contributes two rows, pre-jump then post-jump
-    rows = 1 + is_jump
-    times = np.repeat(np.concatenate(([float(tau0)], ts)), np.concatenate(([1], rows)))
-    return _trajectory(times, states, np.cumsum(rows)[is_jump], norms_of)
+                x = jump(states[row + count - 1])
+                states[row + count] = x
+            start = stop
+    times = np.repeat(np.concatenate(([float(tau0)], ts)), np.concatenate(([1], 1 + is_jump)))
+    return _trajectory(times, states, rows[is_jump] + 1, norms_of)
 
 
 def _jump_times(schedule: ImpulseSchedule, t_end: float, sample_dt: float) -> list[float]:
@@ -229,7 +234,7 @@ def simulate_ode(
         float(t_end),
         float(sample_dt),
         A,
-        evolve=lambda x, dts, flows: flows @ x,
+        evolve=lambda x, dts, flows, out: np.matmul(flows, x, out=out),
         jump=lambda x: B @ x,
         norms_of=_vector_norms,
     )
@@ -346,8 +351,9 @@ def simulate_parabolic(
     rates = np.array([model.decay_rate(j) for j in range(1, model.n_modes + 1)])
     A, B = model.A, model.B
 
-    def evolve(C, dts, flows):
-        return np.exp(-rates[None] * dts[:, None])[:, :, None] * (C @ flows.transpose(0, 2, 1))
+    def evolve(C, dts, flows, out):
+        decay = np.exp(-rates[None] * dts[:, None])[:, :, None]
+        np.multiply(decay, C @ flows.transpose(0, 2, 1), out=out)
 
     return _run_events(
         C0,
