@@ -17,11 +17,11 @@ from .errors import ConvergenceError, InputError
 
 SYMMETRY_RTOL = 1e-12
 
-# Pade-13 coefficients b_q / b_0 and theta_13 (Higham, SIAM J. Matrix Anal.
-# Appl. 26(4), 2005).  A slice's weights b_q c^q come from one running
+# Pade-13 coefficients b_q and theta_13 (Higham, SIAM J. Matrix Anal. Appl.
+# 26(4), 2005).  A slice's weights b_q c^q / b_0 come from one running
 # product of c b_q / b_(q-1).  Row p of _PADE_IDX picks the weights of the
 # shared power N^6, N^4 or N^2 in U's outer and inner sum, then V's; the
-# inner sums add b_1 c and b_0 times the identity.
+# inner sums add the q = 1 and q = 0 weights times the identity.
 _PADE_B = np.array([
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,

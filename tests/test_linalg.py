@@ -160,7 +160,8 @@ def test_expm_slice_bits_do_not_depend_on_its_stack(n, seed, ts, data):
 
 @pytest.mark.parametrize("t", [1.0, -3.5, 1e3, 1e20])
 def test_expm_nilpotent_generator_is_exact(t):
-    # N^2 = 0, so e^(tA) = I + tA; the scaling is 0 and the result exact
+    # N^2 = 0, so e^(tA) = I + tA: the Pade step is exact, and so is every
+    # squaring that the 2^64 cap on the scaled time asks for (t = 1e20)
     A = np.array([[0.0, 3.0], [0.0, 0.0]])
     assert np.array_equal(expm(A, t), np.eye(2) + t * A)
     A3 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
