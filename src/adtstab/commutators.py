@@ -12,23 +12,27 @@ terms below REL_TOL times the running sum, hard cap at TERM_CAP terms) so
 that quantities derived from the same data truncate consistently.  Overflow
 anywhere in a series raises ConvergenceError, without a RuntimeWarning.
 
-The scalar bounds (the jump correction omega and the lift amplification)
-read a walk of {B, A^m} that forms NORM_CHUNK orders at a time and takes
-the 2-norms of their {B, A^m} and {B, A^m} E in one call of
-linalg._norms2, the one 2-norm kernel.  A certificate point reads both
-bounds from one walk; each keeps its own running sum and stopping point.
+Every consumer reads one walk of {B, A^m} (_walk), the only code that
+forms the commutators and their coefficients s^m/m!.  It forms NORM_CHUNK
+orders at a time and takes the 2-norms of their {B, A^m} and, for the lift,
+{B, A^m} E in one call of linalg._norms2, the one 2-norm kernel.  The
+scalar bounds (the jump correction omega and the lift amplification) sum
+|s^m/m!| times those norms; a certificate point reads both from one walk,
+each with its own running sum and stopping point.
 
 Matrix series are summed for a whole stack of arguments s_1..s_k at once
-(commutator_series_stack): {B, A^m} is formed once, weighted by each
-s_i^m/m!, and each s_i stops by its own count of quiet terms, so its sum
-has the bits a series for s_i alone would have.  commutator_series is a
-stack of one.
+(commutator_series_stack): one walk serves the stack, each s_i weights
+{B, A^m} by s_i^m/m!, and each s_i stops by its own count of quiet terms,
+each term's size being |s_i^m/m!| ||{B, A^m}|| as in the scalar bounds, so
+its sum has the bits a series for s_i alone would have.
+commutator_series is a stack of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -78,37 +82,32 @@ class SeriesTerm:
     contribution: float
 
 
-def _commutators(A: np.ndarray, B: np.ndarray):
-    """Yield {B, A^0}, {B, A^1}, ... by the defining recurrence.
+def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
+    """Yield (m, s^m/m!, {B, A^m}, norms) for m = 0, 1, ..., where norms
+    lists ||{B, A^m}|| and, given E, ||{B, A^m} E||.
 
-    Terms may overflow to inf or NaN; each consumer walks the series under
-    one np.errstate and checks the norms it reads.
+    This is the one place that forms {B, A^m}, by the defining recurrence
+    {B, A^(m+1)} = {B, A^m} A - A {B, A^m}.  s is a number, with a Python
+    float coefficient, or a 1-D stack, with one coefficient per entry.  The
+    walk never ends; each consumer reads the orders it needs.  The terms are
+    formed NORM_CHUNK orders at a time and all 2-norms of a chunk come from
+    one _norms2 call, so a consumer that stops early leaves at most
+    NORM_CHUNK - 1 formed terms unread.  Terms may overflow to inf or NaN,
+    with an inf norm; each consumer walks under one np.errstate and checks
+    what it reads.  Two sums may share one walk through itertools.tee: each
+    reads it as far as it needs, with the bits of a walk of its own.
     """
+    coeff = np.ones_like(s) if isinstance(s, np.ndarray) else 1.0
     term = B
-    while True:
-        yield term
-        term = term @ A - A @ term
-
-
-def _walk(A: np.ndarray, B: np.ndarray, s: float, E=None):
-    """Yield (m, s^m/m!, norms) for m = 0..TERM_CAP, where norms lists
-    ||{B, A^m}|| and, given E, ||{B, A^m} E||.
-
-    The terms are formed NORM_CHUNK orders at a time and all 2-norms of a
-    chunk come from one _norms2 call, so a consumer that stops early leaves
-    at most NORM_CHUNK - 1 formed terms unread; an unread term may overflow.
-    Two sums may share one walk through itertools.tee: each reads it as far
-    as its own _truncated_sum needs, with the bits of a walk of its own.
-    """
-    orders = zip(range(TERM_CAP + 1), _commutators(A, B))
-    coeff = 1.0
-    while chunk := list(islice(orders, NORM_CHUNK)):
-        terms = np.stack([T for _m, T in chunk])
-        if E is not None:
-            terms = np.concatenate([terms, terms @ E])
-        for (m, _T), norms in zip(chunk, _norms2(terms).reshape(-1, len(chunk)).T.tolist()):
-            yield m, coeff, norms
-            coeff *= s / (m + 1)
+    for first in count(0, NORM_CHUNK):
+        terms = np.empty((NORM_CHUNK, *B.shape))
+        for j in range(NORM_CHUNK):
+            terms[j] = term
+            term = term @ A - A @ term
+        norms = _norms2(terms if E is None else np.concatenate([terms, terms @ E]))
+        for m, T, row in zip(count(first), terms, norms.reshape(-1, NORM_CHUNK).T.tolist()):
+            yield m, coeff, T, row
+            coeff = coeff * (s / (m + 1))
 
 
 def _truncated_sum(terms, label: str) -> float:
@@ -141,7 +140,7 @@ def _omega_rows(walk) -> tuple[list[SeriesTerm], float]:
     rows: list[SeriesTerm] = []
 
     def contributions():
-        for m, coeff, (norm, *_) in islice(walk, 1, None):
+        for m, coeff, _T, (norm, *_) in islice(walk, 1, TERM_CAP + 1):
             rows.append(SeriesTerm(m=m, commutator_norm=norm, contribution=coeff * norm))
             yield rows[-1].contribution
 
@@ -150,7 +149,8 @@ def _omega_rows(walk) -> tuple[list[SeriesTerm], float]:
 
 def _lift_sum(walk) -> float:
     """The lift amplification from a walk at s = 2 chi_max with E = e^((theta - chi_max) A)."""
-    return _truncated_sum((coeff * lifted for _m, coeff, (_n, lifted) in walk), "lift bound")
+    lifted = (coeff * norm for _m, coeff, _T, (_n, norm) in islice(walk, TERM_CAP + 1))
+    return _truncated_sum(lifted, "lift bound")
 
 
 def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
@@ -158,23 +158,24 @@ def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
     A, B = as_pair(A, B)
     if m_max < 0:
         raise InputError("m_max must be >= 0")
+    terms, norms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = tuple(islice(_commutators(A, B), int(m_max) + 1))
-    norms = _norms2(np.stack(terms))
-    overflowed = np.flatnonzero(~np.isfinite(norms))
-    if overflowed.size:
-        raise ConvergenceError(f"commutator of order {overflowed[0]} overflowed")
-    return CommutatorSequence(A=A, B=B, terms=terms, norms=tuple(map(float, norms)))
+        for m, _coeff, T, (norm,) in islice(_walk(A, B, 0.0), int(m_max) + 1):
+            if not math.isfinite(norm):
+                raise ConvergenceError(f"commutator of order {m} overflowed")
+            terms.append(T)
+            norms.append(norm)
+    return CommutatorSequence(A=A, B=B, terms=tuple(terms), norms=tuple(norms))
 
 
 def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """Truncated sums of s_i^m/m! * {B, A^m} over m >= start for a 1-D stack s.
 
-    {B, A^m} is formed once for the whole stack.  Each s_i keeps its own
+    One walk of {B, A^m} serves the whole stack.  Each s_i keeps its own
     running sum, started from its first term, and its own count of quiet
-    terms (2-norm at most REL_TOL times that of its sum), and retires when
-    the count reaches _QUIET_NEEDED.  Returns the sums, shape (k, n, n), and
-    the number of terms each s_i used.
+    terms (|s_i^m/m!| ||{B, A^m}|| at most REL_TOL times the 2-norm of its
+    sum), and retires when the count reaches _QUIET_NEEDED.  Returns the
+    sums, shape (k, n, n), and the number of terms each s_i used.
     """
     A, B = as_pair(A, B)
     s = np.asarray(s, dtype=float)
@@ -186,29 +187,27 @@ def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.nda
         raise InputError("start must be 0 or 1")
     sums = np.empty((s.size,) + B.shape)
     used = np.zeros(s.size, dtype=int)
-    live = np.arange(s.size)  # original index of each s still summing
-    coeff = np.ones(s.size)
+    live = np.arange(s.size)  # index of each s still summing
     quiet = np.zeros(s.size, dtype=int)
     total = magnitude = None
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, T in zip(range(TERM_CAP + 1), _commutators(A, B)):
-            if m >= start:
-                value = coeff[:, None, None] * T
-                magnitude = _norms2(value)
-                if not np.all(np.isfinite(magnitude)):
-                    raise ConvergenceError("commutator series: series term overflowed")
-                total = value if total is None else total + value
-                quiet = np.where(magnitude <= REL_TOL * _norms2(total), quiet + 1, 0)
-                done = quiet >= _QUIET_NEEDED
-                if done.any():
-                    sums[live[done]] = total[done]
-                    used[live[done]] = m + 1 - start
-                    keep = ~done
-                    live, coeff, quiet = live[keep], coeff[keep], quiet[keep]
-                    total, magnitude = total[keep], magnitude[keep]
+        for m, coeff, T, (norm,) in islice(_walk(A, B, s), start, TERM_CAP + 1):
+            coeff = coeff[live]
+            magnitude = np.abs(coeff) * norm
+            if not np.all(np.isfinite(magnitude)):
+                raise ConvergenceError("commutator series: series term overflowed")
+            value = coeff[:, None, None] * T
+            total = value if total is None else total + value
+            quiet = np.where(magnitude <= REL_TOL * _norms2(total), quiet + 1, 0)
+            done = quiet >= _QUIET_NEEDED
+            if done.any():
+                sums[live[done]] = total[done]
+                used[live[done]] = m + 1 - start
+                keep = ~done
+                live, quiet = live[keep], quiet[keep]
+                total, magnitude = total[keep], magnitude[keep]
             if not live.size:
                 return sums, used
-            coeff *= s[live] / (m + 1)
     raise ConvergenceError(
         f"commutator series: no convergence within {TERM_CAP} terms "
         f"(last term magnitude {magnitude[0]:.3e})"

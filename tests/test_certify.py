@@ -425,7 +425,7 @@ def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls):
     # the lift's flow from one expm call, and the memo keys on the raw bits,
     # so A and B are checked once, when the problem is built
     point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
-    walks = record_calls(commutators._commutators)
+    walks = record_calls(commutators._walk)
     flows = record_calls(linalg.expm)
     checks = record_calls(linalg.as_square_matrix)
     p0 = st.search_p0(*point)

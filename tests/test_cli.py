@@ -279,7 +279,7 @@ def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, record_cal
     patches = None if jitter is None else {"schedule.chi_max": jitter * theta}
     cfg = _patched_config(ref_config_path, tmp_path, patches)
     # omega and the lift amplification come from one walk of {B, A^m}
-    walks = record_calls(commutators._commutators)
+    walks = record_calls(commutators._walk)
     flows = record_calls(linalg.expm)
     out = tmp_path / "report.json"
     assert main(["certify", "--config", str(cfg), "--output", str(out), "--quiet"]) == code

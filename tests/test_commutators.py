@@ -150,6 +150,28 @@ def test_series_term_cap_raises():
         hadamard_series(A, B, 200.0)
 
 
+# {B, A^m} for A = diag(1, -1) and this B has 2-norm 2^m; for A/2 it is
+# B or [[0, -1], [1, 0]] in turn, of 2-norm 1 at every order
+SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_nested_commutators_serve_orders_past_the_term_cap():
+    seq = nested_commutators(0.5 * np.diag([1.0, -1.0]), SWAP, TERM_CAP + 60)
+    assert len(seq) == 261
+    assert seq.norms == (1.0,) * 261
+
+
+def test_series_stop_at_the_term_cap():
+    # order m adds 168^m/m! at s = 84: the terms peak near m = 168 and the
+    # last order read, TERM_CAP = 200, still adds 1.462e70
+    A = np.diag([1.0, -1.0])
+    message = r"no convergence within 200 terms \(last term magnitude 1\.462e\+70\)$"
+    with pytest.raises(ConvergenceError, match="^correction bound: " + message):
+        correction_bound(A, SWAP, 42.0)
+    with pytest.raises(ConvergenceError, match="^commutator series: " + message):
+        commutator_series_stack(A, SWAP, [84.0])
+
+
 def test_correction_bound_reference_value(ref):
     omega = correction_bound(ref.A, ref.B, ref.chi_max)
     assert omega == pytest.approx(0.1726, abs=5e-4)
@@ -238,14 +260,14 @@ def test_series_overflow_raises_convergence_error(ref):
 
 def _reference_series(A, B, s, start):
     """Sum of s^m/m! {B, A^m} for one s, stopped after three consecutive
-    terms whose 2-norm is at most REL_TOL times that of the running sum;
-    returns the sum and the number of terms used."""
+    terms whose size |s^m/m!| ||{B, A^m}|| is at most REL_TOL times the
+    2-norm of the running sum; returns the sum and the number of terms used."""
     term, coeff, total, quiet = B, 1.0, None, 0
     for m in range(TERM_CAP + 1):
         if m >= start:
-            value = coeff * term
-            total = value if total is None else total + value
-            small = np.linalg.norm(value, 2) <= REL_TOL * np.linalg.norm(total, 2)
+            total = coeff * term if total is None else total + coeff * term
+            size = abs(coeff) * np.linalg.norm(term, 2)
+            small = size <= REL_TOL * np.linalg.norm(total, 2)
             quiet = quiet + 1 if small else 0
             if quiet == 3:
                 return total, m + 1 - start
