@@ -124,7 +124,7 @@ def _modal_norms(ell: float, S: np.ndarray) -> np.ndarray:
 
 def l2_norm(model: ParabolicModel, modes) -> float:
     """L2 norm sqrt(ell/2 * sum_j |c_j|^2) of a sine-mode coefficient block."""
-    return float(_modal_norms(model.ell, _as_modes(model, modes)[None])[0])
+    return float(_rescaled(_as_modes(model, modes)[None], partial(_modal_norms, model.ell))[0])
 
 
 def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
@@ -139,16 +139,19 @@ FLOW_BLOCK = 256
 
 
 def _rescaled(states: np.ndarray, norms_of) -> np.ndarray:
-    """norms_of(states), with each norm that overflowed although its state x
-    is finite recomputed as s * norm(x / s), s = max |x|; both norms are
-    homogeneous, so this is the same norm without the overflow."""
+    """norms_of(states), with each norm that overflowed or fell below
+    sqrt(tiny), where squared entries underflow, recomputed as
+    s * norm(x / s) for its state x; s is 2^-600 for a small norm and 2^600
+    for a large one, so x / s is exact and its squares stay in range.  Both
+    norms are homogeneous, so this is the same norm without the overflow or
+    underflow; a zero or non-finite state keeps its norm, and so does every
+    norm in range."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = norms_of(states)
-        for i in np.flatnonzero(~np.isfinite(norms)):
-            x = states[i]
-            if np.all(np.isfinite(x)):
-                s = np.max(np.abs(x))
-                norms[i] = s * norms_of(x[None] / s)[0]
+        rows = np.flatnonzero(~((norms >= np.sqrt(np.finfo(float).tiny)) & (norms < np.inf)))
+        if rows.size:
+            s = np.where(norms[rows] < 1.0, 2.0**-600, 2.0**600)
+            norms[rows] = s * norms_of(states[rows] / s.reshape(-1, *[1] * (states.ndim - 1)))
     return norms
 
 

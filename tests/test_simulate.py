@@ -451,6 +451,46 @@ def test_mode_csv_norm_of_huge_finite_state():
     assert float(rows[1][1]) == pytest.approx(5e200, rel=1e-15)
 
 
+# B = 1e-170 id: the first jump takes [3, 4] to [3e-170, 4e-170], a nonzero
+# state whose squared entries underflow to 0
+TINY_JUMP = 1e-170 * np.eye(2)
+
+
+def test_trajectory_norms_of_tiny_nonzero_states():
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 10, st.ADT, seed=0)
+    system = st.ImpulsiveSystem(A=np.zeros((2, 2)), B=TINY_JUMP)
+    ode = st.simulate_ode(system, sched, [3.0, 4.0], 1.5, 0.5)
+    assert ode.post_jump_norms[0] == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+    assert np.all(ode.norms[: ode.jump_indices[0]] == 5.0)
+    comparison = st.simulate_comparison(system, sched, [3.0, 4.0], 1)
+    assert comparison.norms[:2].tolist() == [5.0, 5.0]
+    assert comparison.norms[2] == pytest.approx(5e-170, rel=1e-15, abs=0.0)
+    model = st.ParabolicModel(A=np.zeros((2, 2)), B=TINY_JUMP, mu=1.0, ell=np.pi, n_modes=3)
+    par = st.simulate_parabolic(model, sched, np.ones((3, 2)), 1.5, 0.5)
+    (post,) = par.jump_indices
+    assert par.norms[post] == pytest.approx(1e-170 * par.norms[post - 1], rel=1e-14, abs=0.0)
+
+
+def test_mode_csv_norm_of_a_state_whose_squares_underflow():
+    # mode 4 of the bundled config at t = 22.6; its norm used to read 0
+    c = [-1.3040872462331817e-162, 8.8844394188969555e-167]
+    states = np.array([[[3.0, 4.0]], [c], [[0.0, -0.0]]])
+    traj = st.Trajectory(np.array([0.0, 1.0, 2.0]), states, np.zeros(3), np.array([1]))
+    rows = [line.split(",") for line in st.mode_csv(traj, 1).splitlines()[1:]]
+    assert [rows[0][1], rows[2][1]] == ["5", "0"]
+    assert float(rows[1][1]) == pytest.approx(math.hypot(*c), rel=1e-15, abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e200])
+def test_l2_norm_of_a_block_whose_squares_leave_float64(ref_model, scale):
+    # pytest.approx's default abs tolerance would pass a 0 here; a
+    # RuntimeWarning fails the test, as the test run turns warnings into errors
+    unit = st.l2_norm(ref_model, np.ones((32, 2)))
+    assert unit == math.sqrt(ref_model.ell / 2.0 * 64)
+    value = st.l2_norm(ref_model, np.full((32, 2), scale))
+    assert value == pytest.approx(scale * unit, rel=1e-15, abs=0.0)
+
+
 def _format_oracle_csv(header, times, norms, post_rows, values):
     """CSV text built one value at a time with format(v, ".17g")."""
     post = {int(i) for i in post_rows}
