@@ -137,6 +137,28 @@ def test_matching_residual_small_on_seeded_schedules(ref_system, ref):
             assert r <= 1e-8
 
 
+@pytest.mark.parametrize("variant", [st.ADT, st.ADT_PLUS])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_matching_residual_is_bitwise_the_per_jump_loop(n, variant):
+    rng = np.random.default_rng(60 + n)
+    A, B = rng.uniform(-1.0, 1.0, (2, n, n))
+    system = st.ImpulsiveSystem(A=A, B=B)
+    K = 12
+    sched = st.generate_schedule(0.0, 1.0, 0.3, K + 2, variant, seed=n)
+    x0 = rng.standard_normal(n)
+    t_end = float(sched.taus[K])
+    x_posts = st.simulate_ode(system, sched, x0, t_end, t_end - sched.tau0).post_jump_states
+    z0 = st.lifted_initial(system, x0, sched.chis[1], sched.chi_max, sched.theta, variant)
+    z_posts = st.simulate_comparison(system, sched, z0, K - 1).post_jump_states
+    worst = 0.0
+    for k in range(2, K + 1):
+        s = sched.chis[k] + (sched.chi_max if variant == st.ADT else 0.0)
+        actual = x_posts[k - 1]
+        gap = np.linalg.norm(actual - expm(A, s) @ z_posts[k - 2])
+        worst = max(worst, float(gap / (1.0 + np.linalg.norm(actual))))
+    assert st.matching_residual(system, sched, x0, K).hex() == worst.hex()
+
+
 def test_matching_residual_validation(ref_system, ref):
     sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, 12, st.ADT, seed=0)
     with pytest.raises(st.InputError):
