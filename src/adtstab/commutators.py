@@ -12,25 +12,20 @@ terms below REL_TOL times the running sum, hard cap at TERM_CAP terms) so
 that quantities derived from the same data truncate consistently.  Overflow
 anywhere in a series raises ConvergenceError, without a RuntimeWarning.
 
-Every consumer reads one walk of {B, A^m} (_walk), the only code that
-forms the commutators and their coefficients s^m/m!.  It forms NORM_CHUNK
-orders at a time and takes the 2-norms of their {B, A^m} and, for the lift,
-{B, A^m} E in one call of linalg._norms2, the one 2-norm kernel.  The
-scalar bounds (the jump correction omega and the lift amplification) sum
-|s^m/m!| times those norms; a certificate point reads both from one walk,
-each with its own running sum and stopping point.
+Every series reads one walk of {B, A^m} (_walk), the only code that forms
+the commutators, their coefficients s^m/m! and, NORM_CHUNK orders per call
+of linalg._norms2 (the one 2-norm kernel), their 2-norms.  A term's size is
+|s^m/m!| ||{B, A^m}||: the scalar bounds (the jump correction omega and the
+lift amplification) sum it, and a certificate point reads both from one walk.
 
-Matrix series are summed for a whole stack of arguments s_1..s_k at once
-(commutator_series_stack): one walk serves the stack, each s_i weights
-{B, A^m} by s_i^m/m!, and each s_i stops by its own count of quiet terms,
-each term's size being |s_i^m/m!| ||{B, A^m}|| as in the scalar bounds, so
-its sum has the bits a series for s_i alone would have.
+Matrix series are summed for a whole stack of arguments s_1..s_k from one
+walk (commutator_series_stack); each s_i stops by its own count of quiet
+terms, so its sum has the bits a series for s_i alone would have.
 commutator_series is a stack of one.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import count, islice
 
@@ -84,18 +79,16 @@ class SeriesTerm:
 
 def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
     """Yield (m, s^m/m!, {B, A^m}, norms) for m = 0, 1, ..., where norms
-    lists ||{B, A^m}|| and, given E, ||{B, A^m} E||.
+    lists ||{B, A^m}|| and, given E, ||{B, A^m} E||; s is a number (with
+    Python float coefficients) or a 1-D stack.
 
-    This is the one place that forms {B, A^m}, by the defining recurrence
-    {B, A^(m+1)} = {B, A^m} A - A {B, A^m}.  s is a number, with a Python
-    float coefficient, or a 1-D stack, with one coefficient per entry.  The
-    walk never ends; each consumer reads the orders it needs.  The terms are
-    formed NORM_CHUNK orders at a time and all 2-norms of a chunk come from
-    one _norms2 call, so a consumer that stops early leaves at most
-    NORM_CHUNK - 1 formed terms unread.  Terms may overflow to inf or NaN,
-    with an inf norm; each consumer walks under one np.errstate and checks
-    what it reads.  Two sums may share one walk through itertools.tee: each
-    reads it as far as it needs, with the bits of a walk of its own.
+    The walk never ends; each consumer reads the orders it needs, under one
+    np.errstate, and checks the norms it reads (inf for a term that
+    overflowed).  Terms are formed NORM_CHUNK orders at a time, with all
+    2-norms of a chunk from one _norms2 call, so a consumer that stops early
+    leaves at most NORM_CHUNK - 1 formed terms unread.  Two sums may share
+    one walk through itertools.tee: each reads it as far as it needs, with
+    the bits of a walk of its own.
     """
     coeff = np.ones_like(s) if isinstance(s, np.ndarray) else 1.0
     term = B
@@ -161,7 +154,7 @@ def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
     terms, norms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         for m, _coeff, T, (norm,) in islice(_walk(A, B, 0.0), int(m_max) + 1):
-            if not math.isfinite(norm):
+            if not np.isfinite(norm):
                 raise ConvergenceError(f"commutator of order {m} overflowed")
             terms.append(T)
             norms.append(norm)
