@@ -142,34 +142,29 @@ def test_series_argument_validation(ref):
         commutator_series(ref.A, ref.B, 0.1, start=2)
 
 
-def test_series_term_cap_raises():
-    # norms grow like 2^m t^m / m! and only settle far beyond the cap
-    A = np.diag([1.0, -1.0])
-    B = np.array([[0.0, 1.0], [1.0, 0.0]])
-    with pytest.raises(ConvergenceError):
-        hadamard_series(A, B, 200.0)
-
-
 # {B, A^m} for A = diag(1, -1) and this B has 2-norm 2^m; for A/2 it is
 # B or [[0, -1], [1, 0]] in turn, of 2-norm 1 at every order
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_series_term_cap_raises():
+    # norms grow like 2^m t^m / m! and only settle far beyond the cap
+    A = np.diag([1.0, -1.0])
+    with pytest.raises(ConvergenceError):
+        hadamard_series(A, SWAP, 200.0)
+    # at s = 84 order m adds 168^m/m!: the terms peak near m = 168, and the
+    # last order read, TERM_CAP = 200, still adds 1.462e70
+    message = r"no convergence within 200 terms \(last term magnitude 1\.462e\+70\)$"
+    with pytest.raises(ConvergenceError, match="^correction bound: " + message):
+        correction_bound(A, SWAP, 42.0)
+    with pytest.raises(ConvergenceError, match="^commutator series: " + message):
+        commutator_series_stack(A, SWAP, [84.0])
 
 
 def test_nested_commutators_serve_orders_past_the_term_cap():
     seq = nested_commutators(0.5 * np.diag([1.0, -1.0]), SWAP, TERM_CAP + 60)
     assert len(seq) == 261
     assert seq.norms == (1.0,) * 261
-
-
-def test_series_stop_at_the_term_cap():
-    # order m adds 168^m/m! at s = 84: the terms peak near m = 168 and the
-    # last order read, TERM_CAP = 200, still adds 1.462e70
-    A = np.diag([1.0, -1.0])
-    message = r"no convergence within 200 terms \(last term magnitude 1\.462e\+70\)$"
-    with pytest.raises(ConvergenceError, match="^correction bound: " + message):
-        correction_bound(A, SWAP, 42.0)
-    with pytest.raises(ConvergenceError, match="^commutator series: " + message):
-        commutator_series_stack(A, SWAP, [84.0])
 
 
 def test_correction_bound_reference_value(ref):
