@@ -141,11 +141,11 @@ FLOW_BLOCK = 256
 def _rescaled(states: np.ndarray, norms_of) -> np.ndarray:
     """norms_of(states), with each norm that overflowed or fell below
     sqrt(tiny), where squared entries underflow, recomputed as
-    s * norm(x / s) for its state x; s is 2^-600 for a small norm and 2^600
-    for a large one, so x / s is exact and its squares stay in range.  Both
-    norms are homogeneous, so this is the same norm without the overflow or
-    underflow; a zero or non-finite state keeps its norm, and so does every
-    norm in range."""
+    s * norm(x / s) for its state x.  s is 2^-600 for a small norm and 2^600
+    for a large one: a power of two scales without rounding, and the scaled
+    squares stay in range.  Both norms are homogeneous, so this is the same
+    norm without the overflow or underflow; a zero or non-finite state keeps
+    its norm, and so does every norm in range."""
     with np.errstate(over="ignore", invalid="ignore"):
         norms = norms_of(states)
         rows = np.flatnonzero(~((norms >= np.sqrt(np.finfo(float).tiny)) & (norms < np.inf)))
