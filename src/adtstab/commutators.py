@@ -153,6 +153,7 @@ def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
         raise InputError("m_max must be >= 0")
     terms, norms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
+        # s = 0: the coefficients go unread
         for m, _coeff, T, (norm,) in islice(_walk(A, B, 0.0), int(m_max) + 1):
             if not np.isfinite(norm):
                 raise ConvergenceError(f"commutator of order {m} overflowed")
