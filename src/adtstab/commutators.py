@@ -20,7 +20,8 @@ lift amplification) sum it, and a certificate point reads both from one walk.
 
 Matrix series are summed for a whole stack of arguments s_1..s_k from one
 walk (commutator_series_stack); each s_i stops by its own count of quiet
-terms, so its sum has the bits a series for s_i alone would have.
+terms, so its sum has the bits a series for s_i alone would have.  A sum's
+2-norm is taken only where its Frobenius norm leaves the quiet test open.
 commutator_series is a stack of one.
 """
 
@@ -39,6 +40,12 @@ TERM_CAP = 200
 REL_TOL = 1e-12
 NORM_CHUNK = 8
 _QUIET_NEEDED = 3
+# Margin and range of ||M||_F / sqrt(n) <= ||M||_2 <= ||M||_F (Golub & Van Loan,
+# Matrix Computations, 2.3) in the stacked quiet test.  sigma_1 from LAPACK and a
+# sum of n^2 squares each err by at most about n^2 eps, 1.4e-14 at n = 8, the
+# workloads' largest (past it the margin grows as n^2).  For ||M||_F in
+# (2^-400, inf) no square overflowed and underflow cost at most 2^-260 of it.
+_BRACKET_DELTA, _BRACKET_FLOOR = 1e-12, 2.0**-400
 
 __all__ = [
     "TERM_CAP",
@@ -168,8 +175,10 @@ def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.nda
     One walk of {B, A^m} serves the whole stack.  Each s_i keeps its own
     running sum, started from its first term, and its own count of quiet
     terms (|s_i^m/m!| ||{B, A^m}|| at most REL_TOL times the 2-norm of its
-    sum), and retires when the count reaches _QUIET_NEEDED.  Returns the
-    sums, shape (k, n, n), and the number of terms each s_i used.
+    sum), and retires when the count reaches _QUIET_NEEDED.  The Frobenius
+    norm of a sum settles most tests with the 2-norm's answer; the rest take
+    an SVD.  A sum that overflows raises ConvergenceError.  Returns the sums,
+    shape (k, n, n), and the number of terms each s_i used.
     """
     A, B = as_pair(A, B)
     s = np.asarray(s, dtype=float)
@@ -184,6 +193,8 @@ def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.nda
     live = np.arange(s.size)  # index of each s still summing
     quiet = np.zeros(s.size, dtype=int)
     total = magnitude = None
+    delta = _BRACKET_DELTA * max(1.0, B.size / 64)
+    low, high = REL_TOL * (1.0 - delta) / np.sqrt(B.shape[0]), REL_TOL * (1.0 + delta)
     with np.errstate(over="ignore", invalid="ignore"):
         for m, coeff, T, (norm,) in islice(_walk(A, B, s), start, TERM_CAP + 1):
             coeff = coeff[live]
@@ -192,7 +203,16 @@ def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.nda
                 raise ConvergenceError("commutator series: series term overflowed")
             value = coeff[:, None, None] * T
             total = value if total is None else total + value
-            quiet = np.where(magnitude <= REL_TOL * _norms2(total), quiet + 1, 0)
+            frob = np.sqrt(np.einsum("kij,kij->k", total, total))
+            small = magnitude <= low * frob
+            in_range = (frob > _BRACKET_FLOOR) & (frob < np.inf)
+            undecided = ~in_range | (small != (magnitude <= high * frob))
+            if undecided.any():
+                norms = _norms2(total[undecided])
+                if not np.all(np.isfinite(norms)):
+                    raise ConvergenceError("commutator series: running sum overflowed")
+                small[undecided] = magnitude[undecided] <= REL_TOL * norms
+            quiet = np.where(small, quiet + 1, 0)
             done = quiet >= _QUIET_NEEDED
             if done.any():
                 sums[live[done]] = total[done]

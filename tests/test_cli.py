@@ -403,6 +403,23 @@ def test_commutators_overflow_exit2(ref_config_path, tmp_path, capsys):
     assert re.fullmatch(r"error: commutator of order \d+ overflowed\n", capsys.readouterr().err)
 
 
+def test_mr_check_running_sum_overflow_exit2(ref_config_path, tmp_path, capsys):
+    # the lift's series sums finite terms s^m/m! 1e308 to e^s 1e308; a
+    # subnormal x0 lets the original run survive its two jumps by 1e308
+    cfg = _patched_config(ref_config_path, tmp_path, {
+        "system.A": [0.5, 0.0, 0.0, -0.5],
+        "system.B": [0.0, 1e308, 1e308, 0.0],
+        "schedule.theta": 3.0,
+        "schedule.chi_max": 0.85,
+        "run.k": 2,
+        "run.x0": [1e-310, 0.0],
+    })
+    out = tmp_path / "mr.txt"
+    assert main(["mr-check", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: commutator series: running sum overflowed\n"
+
+
 @pytest.mark.parametrize("drop", [(), ("pde",)], ids=["parabolic", "vector"])
 def test_simulate_overflow_exit2(ref_config_path, tmp_path, capsys, drop):
     cfg = _patched_config(ref_config_path, tmp_path, {

@@ -3,6 +3,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from adtstab import (
     ADT,
@@ -286,19 +288,64 @@ def _span_stack(rng, theta, chi_max):
 
 
 @pytest.mark.parametrize("start", [0, 1])
-@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
 def test_series_stack_is_bitwise_the_per_argument_loop(n, start):
+    # B at 1e200 overflows the squares of the Frobenius bracket and B at
+    # 1e-170 underflows them; either way the quiet test must decide as the
+    # 2-norm does
     rng = np.random.default_rng(40 + n)
     A = rng.uniform(-1, 1, (n, n))
     B = rng.uniform(-1, 1, (n, n))
     spans = _span_stack(rng, theta=1.0, chi_max=0.4)
-    sums, used = commutator_series_stack(A, B, spans, start)
-    assert sums.shape == (len(spans), n, n)
-    for i, s in enumerate(spans):
+    for scale in (1.0, 1e200, 1e-170):
+        sums, used = commutator_series_stack(A, scale * B, spans, start)
+        assert sums.shape == (len(spans), n, n)
+        for i, s in enumerate(spans):
+            expected, terms = _reference_series(A, scale * B, s, start)
+            assert sums[i].tobytes() == expected.tobytes(), f"s = {s}, scale = {scale}"
+            assert used[i] == terms, f"s = {s}, scale = {scale}"
+            assert commutator_series(A, scale * B, s, start).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    hs.integers(1, 8),
+    hs.integers(0, 2**32 - 1),
+    hs.integers(-150, 0),
+    hs.integers(-150, 150),
+    hs.lists(hs.floats(-1.5, 1.5), min_size=1, max_size=6),
+    hs.sampled_from([0, 1]),
+)
+def test_series_stack_rows_are_the_reference_across_the_float_range(n, seed, ka, kb, spans, start):
+    # A's exponent stops at 0: past it the terms {B, A^m} themselves overflow
+    # before the series converges, which raises instead of summing
+    rng = np.random.default_rng(seed)
+    A = 10.0**ka * rng.uniform(-1, 1, (n, n))
+    B = 10.0**kb * rng.uniform(-1, 1, (n, n))
+    stack = [0.0] + spans + [-spans[0], spans[-1]]
+    sums, used = commutator_series_stack(A, B, stack, start)
+    for i, s in enumerate(stack):
         expected, terms = _reference_series(A, B, s, start)
         assert sums[i].tobytes() == expected.tobytes(), f"s = {s}"
         assert used[i] == terms, f"s = {s}"
-        assert commutator_series(A, B, s, start).tobytes() == expected.tobytes()
+
+
+def test_series_running_sum_overflow_raises_convergence_error():
+    # every term s^m/m! 1e308 is finite, but the sum of one entry,
+    # (e^s - 1) 1e308 from m = 1 or e^s 1e308 from m = 0, is not
+    A, B = 0.5 * np.diag([1.0, -1.0]), 1e308 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for run in (
+            lambda: hadamard_series(A, B, 1.0),
+            lambda: commutator_series(A, B, 1.5, start=1),
+            lambda: commutator_series_stack(A, B, [0.1, 1.5, -0.2], start=1),
+        ):
+            with pytest.raises(
+                ConvergenceError, match="^commutator series: running sum overflowed$"
+            ):
+                run()
+    assert caught == []
 
 
 def test_series_stack_validation(ref):

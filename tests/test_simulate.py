@@ -407,6 +407,15 @@ def test_overflowing_comparison_raises_convergence_error():
         st.simulate_comparison(system, sched, [1e-250, 0.0], 5)
 
 
+def test_overflowing_comparison_jump_series_raises_convergence_error():
+    # each term s^m/m! 1e308 of a jump series with s > 1.03 is finite, its sum is not
+    sched = st.generate_schedule(0.0, 3.0, 0.85, 10, st.ADT, seed=0)
+    B = 1e308 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    system = st.ImpulsiveSystem(A=0.5 * np.diag([1.0, -1.0]), B=B)
+    with pytest.raises(st.ConvergenceError, match="^commutator series: running sum overflowed$"):
+        st.simulate_comparison(system, sched, [1e-300, 0.0], 5)
+
+
 def test_overflowing_flow_product_raises_convergence_error():
     # dt A leaves float64 for every dwell near theta = 2, although A is finite
     system = st.ImpulsiveSystem(A=np.array([[0.0, 1e308], [0.0, 0.0]]), B=np.eye(2))
