@@ -20,12 +20,10 @@ from __future__ import annotations
 import functools
 import math
 import struct
-import warnings
 from dataclasses import dataclass, field
 from itertools import tee
 
 import numpy as np
-from scipy.linalg import LinAlgError, LinAlgWarning, solve_discrete_lyapunov
 
 from .commutators import REL_TOL, _lift_sum, _omega_rows, _walk
 from .errors import ConvergenceError, InputError
@@ -191,20 +189,19 @@ class CertificateProblem:
 
         The Stein P0 solves P = d Phi^T P Phi + (E^T E + id) / ||E^T E + id||
         (positive definite iff rho(sqrt(d) Phi) < 1), symmetrized and scaled to
-        unit 2-norm.  A solve that scipy flags as ill-conditioned or singular fails.
+        unit 2-norm.  It solves (I - a (x) a) vec P = vec Q with a = sqrt(d) Phi^T,
+        scipy's direct method, and refuses when that system's 1-norm condition
+        number exceeds 2^53 (inf if singular); it costs n^4 memory and n^6 time.
         """
         n = self.A.shape[0]
         if self.margin(np.eye(n)) > 0.0:
             return np.eye(n)
         Q = self.E.T @ self.E + np.eye(n)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", LinAlgWarning)
-                P = solve_discrete_lyapunov(
-                    math.sqrt(self.discount) * self.phi.T, Q / _norms2(Q[None])[0]
-                )
-        except (LinAlgWarning, LinAlgError):
+        a = math.sqrt(self.discount) * self.phi.T
+        M = np.eye(n * n) - np.kron(a, a)
+        if not np.linalg.cond(M, 1) <= 2.0**53:
             return None
+        P = np.linalg.solve(M, (Q / _norms2(Q[None])[0]).ravel()).reshape(n, n)
         if not np.all(np.isfinite(P)):
             return None
         P = 0.5 * P + 0.5 * P.T  # halves first: a sum near the float64 limit overflows

@@ -78,6 +78,13 @@ def _values(sec: dict, name: str, *keys: str, kind=float, default=None) -> list:
     return out
 
 
+def _int(value) -> int:
+    """A whole JSON number; a bool, a string or a fractional part is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+        raise ValueError(value)
+    return int(value)
+
+
 def _float_array(value) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
@@ -95,7 +102,7 @@ def _matrix(sec: dict, name: str, key: str, n: int) -> np.ndarray:
 
 def _config_system(cfg: dict) -> ImpulsiveSystem:
     sec = _section(cfg, "system")
-    (n,) = _values(sec, "system", "n", kind=int)
+    (n,) = _values(sec, "system", "n", kind=_int)
     if n < 1:
         raise InputError(f"system.n must be >= 1, got {n}")
     return ImpulsiveSystem(A=_matrix(sec, "system", "A", n), B=_matrix(sec, "system", "B", n))
@@ -105,7 +112,7 @@ def _seed(sec: dict, name: str, seed_override: int | None) -> int:
     """The --seed override, else the section's seed (default 0); seeds are >= 0."""
     seed = seed_override
     if seed is None:
-        (seed,) = _values(sec, name, "seed", kind=int, default=0)
+        (seed,) = _values(sec, name, "seed", kind=_int, default=0)
     if seed < 0:
         raise InputError(f"seeds must be >= 0, got {seed}")
     return seed
@@ -124,7 +131,7 @@ def _config_schedule(cfg: dict, seed_override: int | None) -> ImpulseSchedule:
         tau0=tau0,
         theta=theta,
         chi_max=chi_max,
-        count=_values(sec, "schedule", "count", kind=int)[0],
+        count=_values(sec, "schedule", "count", kind=_int)[0],
         variant=sec.get("variant", "adt"),
         seed=_seed(sec, "schedule", seed_override),
     )
@@ -138,7 +145,7 @@ def _config_model(cfg: dict, system: ImpulsiveSystem) -> ParabolicModel:
         B=system.B,
         mu=mu,
         ell=ell,
-        n_modes=_values(sec, "pde", "n_modes", kind=int, default=1)[0],
+        n_modes=_values(sec, "pde", "n_modes", kind=_int, default=1)[0],
     )
 
 
@@ -224,7 +231,7 @@ def cmd_mr_check(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
     schedule = _config_schedule(cfg, seed_override)
     run = _run(cfg)
-    (K,) = _values(run, "run", "k", kind=int, default=20)
+    (K,) = _values(run, "run", "k", kind=_int, default=20)
     x0 = _initial(run, "x0", system.n, _seed(run, "run", seed_override), np.linalg.norm)
     residual = matching_residual(system, schedule, x0, K)
     ok = residual <= MR_TOL
@@ -244,7 +251,7 @@ def cmd_gen_times(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
 
 def cmd_commutators(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
-    (m_max,) = _values(_run(cfg), "run", "m_max", kind=int, default=10)
+    (m_max,) = _values(_run(cfg), "run", "m_max", kind=_int, default=10)
     seq = nested_commutators(system.A, system.B, m_max)
     lines = ["m,norm"] + [f"{m},{fmt(v)}" for m, v in enumerate(seq.norms)]
     return "\n".join(lines) + "\n", f"computed nested commutators up to order {m_max}", 0

@@ -307,20 +307,28 @@ def test_stein_search_certifies_wherever_random_search_does(ref):
 
 
 def test_stein_p0_solves_the_scaled_stein_equation():
-    # strong shear: the identity fails, so the Stein solution is returned
-    A = np.array([[0.0, 12.0], [0.0, 0.0]])
-    B = np.diag([0.3, 0.3])
-    P = st.CertificateProblem(A, B, 1.0, 0.0, 1.0, float(np.pi)).search()
-    assert np.array_equal(P, P.T)
-    assert np.linalg.eigvalsh(P)[0] > 0
-    assert np.linalg.norm(P, 2) == pytest.approx(1.0, rel=1e-12)
-    E = scipy.linalg.expm(A)
-    phi = B @ E
-    Q = E.T @ E + np.eye(2)
-    R = P - np.exp(-2.0) * phi.T @ P @ phi
-    c = R[0, 0] / Q[0, 0]
-    assert c > 0
-    assert np.allclose(R, c * Q, rtol=1e-10, atol=1e-12 * c)
+    # strong shears where the identity fails, so the Stein solution is returned;
+    # n = 12 lies past the size at which scipy switches to a bilinear method
+    for A, B in [
+        (np.array([[0.0, 12.0], [0.0, 0.0]]), np.diag([0.3, 0.3])),
+        (3.0 * np.eye(12, k=1), 0.3 * np.eye(12)),
+    ]:
+        n = A.shape[0]
+        P = st.CertificateProblem(A, B, 1.0, 0.0, 1.0, float(np.pi)).search()
+        assert np.array_equal(P, P.T)
+        assert np.linalg.eigvalsh(P)[0] > 0
+        assert np.linalg.norm(P, 2) == pytest.approx(1.0, rel=1e-12)
+        E = scipy.linalg.expm(A)
+        phi = B @ E
+        Q = E.T @ E + np.eye(n)
+        R = P - np.exp(-2.0) * phi.T @ P @ phi
+        c = R[0, 0] / Q[0, 0]
+        assert c > 0
+        assert np.allclose(R, c * Q, rtol=1e-10, atol=1e-12 * c)
+        # scipy's solver as an independent oracle, symmetrized and scaled alike
+        oracle = scipy.linalg.solve_discrete_lyapunov(np.exp(-1.0) * phi.T, Q)
+        oracle = 0.5 * oracle + 0.5 * oracle.T
+        np.testing.assert_allclose(P, oracle / np.linalg.norm(oracle, 2), rtol=1e-10, atol=0)
 
 
 # A = 0, theta = 1, chi_max = 0, mu = 1, ell = pi: sqrt(d) Phi = B / e, and

@@ -509,3 +509,33 @@ def test_malformed_config_value_exits_cleanly(sub, where, value, vector):
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if code == 2:
         assert err.getvalue().startswith("error: ")
+
+
+# each whole-number key of the bundled config, with a subcommand that reads it
+WHOLE_NUMBER_KEYS = {
+    "system.n": "omega", "schedule.count": "gen-times", "schedule.seed": "gen-times",
+    "run.seed": "mr-check", "run.k": "mr-check", "run.m_max": "commutators",
+    "pde.n_modes": "simulate",
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(WHOLE_NUMBER_KEYS))
+def test_whole_number_keys_refuse_fractions_bools_and_strings(dotted, tmp_path, capsys):
+    # int() would read 2.9 as 2, true as 1 and "2" as 2; 2.0 stays valid
+    sub = WHOLE_NUMBER_KEYS[dotted]
+    section, key = dotted.split(".")
+    cfg = json.loads(BUNDLED_CONFIG.read_text(encoding="utf-8"))
+    value = cfg[section][key]
+
+    def run(v, name):
+        path = _patched_config(BUNDLED_CONFIG, tmp_path, {"run.t_end": 2.0, dotted: v}, name=name)
+        out = tmp_path / f"{name}.out"
+        return main([sub, "--config", str(path), "--output", str(out), "--quiet"]), out
+
+    for bad in (value + 0.5, True, str(value)):
+        capsys.readouterr()
+        assert run(bad, "bad.json")[0] == 2
+        assert capsys.readouterr().err == f"error: {dotted} has an invalid value {bad!r}\n"
+    (code, whole), (code_float, as_float) = run(value, "int.json"), run(float(value), "float.json")
+    assert code == code_float
+    assert whole.read_bytes() == as_float.read_bytes()

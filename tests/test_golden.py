@@ -4,9 +4,9 @@ tests/golden/ holds the outputs of certify, omega, mr-check, gen-times and
 commutators, and in simulate.sha256 (sha256sum format) the digests of the
 simulate CSV and its 32 per-mode CSVs.  All come from
 configs/reaction_diffusion.json with its own seeds.  They were captured with
-numpy 2.4.6 and scipy 1.17.1 (Python 3.11, x86-64 OpenBLAS).  Another numpy,
-scipy or BLAS build may change last bits, and then this test fails even
-though the numerics are sound.
+numpy 2.4.6 (Python 3.11, x86-64 OpenBLAS); adtstab imports no scipy, so the
+bits depend on numpy's build alone.  Another numpy or BLAS build may change
+last bits, and then this test fails even though the numerics are sound.
 
 A change that alters an artifact on purpose rewrites the golden files in the
 same commit:  PYTHONPATH=src python tests/test_golden.py
@@ -14,6 +14,9 @@ same commit:  PYTHONPATH=src python tests/test_golden.py
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -54,6 +57,38 @@ def test_cli_artifacts_match_golden_files(tmp_path):
     assert len(found["simulate.sha256"].splitlines()) == 33
     for name, data in found.items():
         assert data == (GOLDEN / name).read_bytes(), name
+
+
+# run in a fresh interpreter where every scipy import raises ImportError
+WITHOUT_SCIPY = """
+import json, sys
+from pathlib import Path
+sys.modules["scipy"] = None
+from test_golden import CONFIG, _capture
+from adtstab.cli import main
+work = Path(sys.argv[1])
+(work / "run").mkdir()
+for name, data in _capture(work / "run").items():
+    (work / name).write_bytes(data)
+# strong shear: the identity fails, so certify takes the Stein solve
+cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
+cfg["system"].update(A=[0.0, 12.0, 0.0, 0.0], B=[0.3, 0.0, 0.0, 0.3])
+cfg["schedule"]["chi_max"] = 0.0
+(work / "shear.json").write_text(json.dumps(cfg), encoding="utf-8")
+out = work / "shear.out"
+assert main(["certify", "--config", str(work / "shear.json"), "--output", str(out), "--quiet"]) == 0
+"""
+
+
+def test_cli_artifacts_match_golden_files_without_scipy(tmp_path):
+    path = os.pathsep.join([str(REPO_ROOT / "src"), str(REPO_ROOT / "tests")])
+    env = {**os.environ, "PYTHONPATH": path}
+    subprocess.run(
+        [sys.executable, "-W", "error", "-c", WITHOUT_SCIPY, str(tmp_path)], env=env, check=True
+    )
+    for name in list(ARTIFACTS.values()) + ["simulate.sha256"]:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+    assert json.loads((tmp_path / "shear.out").read_text())["p0"] != [1.0, 0.0, 0.0, 1.0]
 
 
 if __name__ == "__main__":
