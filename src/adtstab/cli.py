@@ -3,8 +3,9 @@
 Subcommands: certify, simulate, omega, mr-check, gen-times, commutators.
 Each cmd_* takes the parsed config and the --seed override and returns its
 artifact text, a one-line summary and its exit code: 0 on success/certified,
-1 on an honest negative.  main alone reads the config (--config) and writes
-the artifact (to --output, or stdout) and the summary; invalid input exits 2.
+1 on an honest negative.  main reads the config (--config) and writes the
+artifact (to --output, or stdout) and the summary; cmd_simulate also writes
+the mode_NNN.csv files of run.per_mode_dir.  Invalid input exits 2.
 """
 
 from __future__ import annotations
@@ -19,7 +20,9 @@ import numpy as np
 from .certify import CertificateProblem
 from .commutators import REL_TOL, _correction, nested_commutators
 from .errors import ConvergenceError, GenerationError, InputError
-from .schedules import ImpulseSchedule, generate, require_valid, schedule_from_doc, schedule_to_doc
+from .schedules import (
+    ImpulseSchedule, _number, generate, require_valid, schedule_from_doc, schedule_to_doc
+)
 from .serialize import dumps, fmt
 from .simulate import (
     ParabolicModel,
@@ -58,8 +61,8 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
-def _values(sec: dict, name: str, *keys: str, kind=float, default=None) -> list:
-    """The keys of the config section called name, each coerced by kind.
+def _values(sec: dict, name: str, *keys: str, kind=_number, default=None) -> list:
+    """The keys of the config section called name, each read by kind.
 
     default stands in for a missing key.  A key missing without a default,
     or a value that kind rejects, raises InputError naming name.key.
@@ -80,13 +83,15 @@ def _values(sec: dict, name: str, *keys: str, kind=float, default=None) -> list:
 
 def _int(value) -> int:
     """A whole JSON number; a bool, a string or a fractional part is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != int(value):
+    if _number(value, int) != value:
         raise ValueError(value)
     return int(value)
 
 
 def _float_array(value) -> np.ndarray:
-    return np.asarray(value, dtype=float)
+    """Nested JSON lists of numbers (or one number), each entry read by _number."""
+    arr = np.asarray(value, dtype=object)
+    return np.array([_number(v) for v in arr.flat], dtype=float).reshape(arr.shape)
 
 
 def _matrix(sec: dict, name: str, key: str, n: int) -> np.ndarray:
@@ -126,11 +131,9 @@ def _config_schedule(cfg: dict, seed_override: int | None) -> ImpulseSchedule:
         raise InputError(
             "schedule section needs 'chis'/'taus' or generator parameters with 'count'"
         )
-    tau0, theta, chi_max = _values(sec, "schedule", "tau0", "theta", "chi_max", default=0.0)
     return generate(
-        tau0=tau0,
-        theta=theta,
-        chi_max=chi_max,
+        *_values(sec, "schedule", "tau0", default=0.0),
+        *_values(sec, "schedule", "theta", "chi_max"),
         count=_values(sec, "schedule", "count", kind=_int)[0],
         variant=sec.get("variant", "adt"),
         seed=_seed(sec, "schedule", seed_override),

@@ -139,68 +139,40 @@ def generate(
     )
 
 
+def _check(name: str, failed, index: int | None = None, detail=None) -> CheckResult:
+    """A passing check, or a failed one with its worst index and detail();
+    the detail is formed only for a failure."""
+    return CheckResult(name, not failed, index if failed else None, detail() if failed else "")
+
+
 def validate(schedule: ImpulseSchedule) -> ValidationReport:
     """Check every schedule invariant; reports per-check worst offenders."""
-    checks: list[CheckResult] = []
-
     try:
         _check_params(schedule.tau0, schedule.theta, schedule.chi_max, schedule.variant)
-        params_ok = len(schedule.chis) >= 1
-        detail = "" if params_ok else "schedule must contain at least tau_0"
+        detail = "" if len(schedule.chis) else "schedule must contain at least tau_0"
     except InputError as exc:
-        params_ok = False
         detail = str(exc)
-    checks.append(CheckResult("parameters", params_ok, None, detail))
-    if not params_ok:
-        return ValidationReport(checks=tuple(checks))
+    if detail:
+        return ValidationReport((_check("parameters", True, None, lambda: detail),))
 
-    chis = np.asarray(schedule.chis, dtype=float)
-    taus = schedule.taus
-
-    zero_ok = chis[0] == 0.0
-    checks.append(
-        CheckResult(
-            "initial_deviation",
-            zero_ok,
-            None if zero_ok else 0,
-            "" if zero_ok else f"chi_0 = {chis[0]!r}, expected 0",
-        )
-    )
-
-    lo = _lowest_deviation(schedule.chi_max, schedule.variant)
-    excess = np.maximum(lo - chis, chis - schedule.chi_max)
+    chis, hi = np.asarray(schedule.chis, dtype=float), schedule.chi_max
+    lo = _lowest_deviation(hi, schedule.variant)
+    excess = np.maximum(lo - chis, chis - hi)
     excess[~np.isfinite(chis)] = np.inf  # NaN compares false, so fail it outright
-    if np.max(excess) > 0.0:
-        k = int(np.argmax(excess))
-        checks.append(
-            CheckResult(
-                "deviation_bound",
-                False,
-                k,
-                f"chi_{k} = {chis[k]:.6g} outside [{lo:.6g}, {schedule.chi_max:.6g}]",
-            )
-        )
-    else:
-        checks.append(CheckResult("deviation_bound", True))
-
+    k = int(np.argmax(excess))
     # with every deviation in its window, consecutive gaps
     # theta + chi_k - chi_(k-1) are also at most theta + 2 chi_max
     with np.errstate(invalid="ignore"):  # inf - inf from rejected deviations
-        gaps = np.diff(taus)
-    if len(gaps) and np.min(gaps) <= 0.0:
-        k = int(np.argmin(gaps))
-        checks.append(
-            CheckResult(
-                "strictly_increasing",
-                False,
-                k + 1,
-                f"tau_{k + 1} - tau_{k} = {gaps[k]:.6g} <= 0",
-            )
-        )
-    else:
-        checks.append(CheckResult("strictly_increasing", True))
-
-    return ValidationReport(checks=tuple(checks))
+        gaps = np.diff(schedule.taus)
+    g = int(np.argmin(gaps)) if len(gaps) else 0  # the first NaN, if any: NaN <= 0 is false
+    return ValidationReport((
+        _check("parameters", False),
+        _check("initial_deviation", chis[0] != 0.0, 0, lambda: f"chi_0 = {chis[0]:.6g}, expected 0"),
+        _check("deviation_bound", excess[k] > 0.0, k,
+               lambda: f"chi_{k} = {chis[k]:.6g} outside [{lo:.6g}, {hi:.6g}]"),
+        _check("strictly_increasing", len(gaps) and gaps[g] <= 0.0, g + 1,
+               lambda: f"tau_{g + 1} - tau_{g} = {gaps[g]:.6g} <= 0"),
+    ))
 
 
 def require_valid(schedule: ImpulseSchedule) -> None:
@@ -222,6 +194,14 @@ def schedule_to_doc(schedule: ImpulseSchedule) -> dict:
     }
 
 
+def _number(value, kind=float):
+    """A Python or numpy real as kind; a bool, a string or a container raises
+    ValueError, where float() would read true as 1.0 and "1" as 1.0."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(repr(value))
+    return kind(value)
+
+
 def schedule_from_doc(doc: dict) -> ImpulseSchedule:
     """Rebuild a schedule from its document form.
 
@@ -232,16 +212,16 @@ def schedule_from_doc(doc: dict) -> ImpulseSchedule:
         raise InputError("schedule document must be a JSON object")
     variant = doc.get("variant", ADT)
     try:
-        theta = float(doc["theta"])
-        chi_max = float(doc["chi_max"])
+        theta = _number(doc["theta"])
+        chi_max = _number(doc["chi_max"])
         if "chis" in doc:
-            chis = [float(c) for c in doc["chis"]]
-            tau0 = float(doc["tau0"])
+            chis = [_number(c) for c in doc["chis"]]
+            tau0 = _number(doc["tau0"])
         elif "taus" in doc:
-            taus = [float(t) for t in doc["taus"]]
+            taus = [_number(t) for t in doc["taus"]]
             if not taus:
                 raise InputError("schedule document has an empty 'taus' list")
-            tau0 = float(doc.get("tau0", taus[0]))
+            tau0 = _number(doc.get("tau0", taus[0]))
             chis = [t - tau0 - k * theta for k, t in enumerate(taus)]
         else:
             raise InputError("schedule document needs either 'chis' or 'taus'")

@@ -539,3 +539,98 @@ def test_whole_number_keys_refuse_fractions_bools_and_strings(dotted, tmp_path, 
     (code, whole), (code_float, as_float) = run(value, "int.json"), run(float(value), "float.json")
     assert code == code_float
     assert whole.read_bytes() == as_float.read_bytes()
+
+
+def test_seed_beyond_float_precision_is_read_exactly(tmp_path):
+    # float(2**60 + 1) == 2**60, so a reader that goes through float would merge the seeds
+    docs = []
+    for seed in (2**60, 2**60 + 1):
+        path = _patched_config(BUNDLED_CONFIG, tmp_path, {"schedule.seed": seed}, name=f"{seed}.json")
+        out = tmp_path / f"{seed}.out"
+        assert main(["gen-times", "--config", str(path), "--output", str(out), "--quiet"]) == 0
+        docs.append(out.read_bytes())
+    assert docs[0] != docs[1]
+
+
+# each float key of the bundled config, a subcommand that reads it, and a whole value it accepts
+FLOAT_KEYS = {
+    "schedule.tau0": ("gen-times", 0), "schedule.theta": ("certify", 1),
+    "schedule.chi_max": ("omega", 0), "pde.mu": ("certify", 1), "pde.ell": ("certify", 3),
+    "run.t_end": ("simulate", 2), "run.sample_dt": ("simulate", 1),
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(FLOAT_KEYS))
+def test_float_keys_refuse_bools_and_strings(dotted, tmp_path, capsys):
+    # float() would read true as 1.0 and "1.0" as 1.0
+    sub, whole = FLOAT_KEYS[dotted]
+    section, key = dotted.split(".")
+    value = json.loads(BUNDLED_CONFIG.read_text(encoding="utf-8"))[section][key]
+
+    def run(v, name):
+        path = _patched_config(BUNDLED_CONFIG, tmp_path, {"run.t_end": 2.0, dotted: v}, name=name)
+        out = tmp_path / f"{name}.out"
+        return main([sub, "--config", str(path), "--output", str(out), "--quiet"]), out
+
+    for bad in (True, str(value)):
+        capsys.readouterr()
+        assert run(bad, "bad.json")[0] == 2
+        assert capsys.readouterr().err == f"error: {dotted} has an invalid value {bad!r}\n"
+    (code, as_int), (code_float, as_float) = run(whole, "int.json"), run(float(whole), "float.json")
+    assert code == code_float
+    assert as_int.read_bytes() == as_float.read_bytes()
+
+
+# each array key, with a subcommand that reads it and a valid value
+ARRAY_KEYS = {
+    "system.A": ("omega", [1.2, 0.1, 0.1, -3.0]),
+    "system.B": ("omega", [0.2, 0.1, -0.1, 1.5]),
+    "run.x0": ("mr-check", [1.0, 0.0]),
+    "run.p0": ("certify", [1.0, 0.0, 0.0, 1.0]),
+    "run.init_modes": ("simulate", [[1.0, 0.0]] + [[0.0, 0.0]] * 31),
+}
+
+
+@pytest.mark.parametrize("dotted", sorted(ARRAY_KEYS))
+@pytest.mark.parametrize("entry", [True, "1.0"], ids=["bool", "string"])
+def test_array_keys_refuse_bool_and_string_entries(dotted, entry, tmp_path, capsys):
+    # np.asarray(..., dtype=float) would read true as 1.0 and "1.0" as 1.0
+    sub, good = ARRAY_KEYS[dotted]
+    bad = json.loads(json.dumps(good))
+    row = bad[0] if isinstance(bad[0], list) else bad
+    row[0] = entry
+
+    def run(v, name):
+        path = _patched_config(BUNDLED_CONFIG, tmp_path, {"run.t_end": 2.0, dotted: v}, name=name)
+        return main([sub, "--config", str(path), "--output", str(tmp_path / f"{name}.out"), "--quiet"])
+
+    assert run(good, "good.json") in (0, 1)
+    capsys.readouterr()
+    assert run(bad, "bad.json") == 2
+    assert capsys.readouterr().err == f"error: {dotted} has an invalid value {bad!r}\n"
+
+
+def test_generator_keys_other_than_tau0_have_no_default(tmp_path, capsys):
+    def run(sub, patches, name):
+        path = _patched_config(BUNDLED_CONFIG, tmp_path, {"run.t_end": 2.0, **patches}, name=name)
+        out = tmp_path / f"{name}.out"
+        return main([sub, "--config", str(path), "--output", str(out), "--quiet"]), out
+
+    code, bare = run("gen-times", {"schedule.tau0": None}, "bare.json")
+    code_zero, zero = run("gen-times", {"schedule.tau0": 0.0}, "zero.json")
+    assert code == code_zero == 0
+    assert bare.read_bytes() == zero.read_bytes()
+    readers = {"theta": ("certify", "simulate", "mr-check", "gen-times"),
+               "chi_max": ("certify", "simulate", "omega", "mr-check", "gen-times")}
+    for key, subs in readers.items():
+        for sub in subs:
+            capsys.readouterr()
+            assert run(sub, {f"schedule.{key}": None}, "missing.json")[0] == 2, (key, sub)
+            assert capsys.readouterr().err == f"error: schedule section missing {key!r}\n"
+
+
+def test_gen_times_reports_initial_deviation_as_a_number(tmp_path, capsys):
+    patches = {"schedule.count": None, "schedule.chis": [0.1, 0.0]}
+    path = _patched_config(BUNDLED_CONFIG, tmp_path, patches)
+    assert main(["gen-times", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "error: invalid schedule (initial_deviation): chi_0 = 0.1, expected 0\n"

@@ -183,6 +183,7 @@ def test_validate_flags_nonzero_initial_deviation():
     report = st.validate_schedule(s)
     assert not report.passed
     assert "initial_deviation" in {c.name for c in report.failures()}
+    assert all(type(c.passed) is bool for c in report.checks)
 
 
 def test_validate_flags_bad_parameters():
@@ -191,6 +192,28 @@ def test_validate_flags_bad_parameters():
     assert not report.passed
     assert report.checks[0].name == "parameters"
     assert not report.checks[0].passed
+
+
+def test_validate_report_fields_are_pinned():
+    def fields(s):
+        return [(c.name, bool(c.passed), c.worst_index, c.detail) for c in st.validate_schedule(s).checks]
+
+    passing = [(name, True, None, "") for name in
+               ("parameters", "initial_deviation", "deviation_bound", "strictly_increasing")]
+    assert fields(st.ImpulseSchedule(0.0, 1.0, 0.2, st.ADT, (0.0, 0.1, -0.2))) == passing
+    assert fields(st.ImpulseSchedule(0.0, 1.0, 0.2, st.ADT, (0.0,))) == passing
+    assert fields(st.ImpulseSchedule(0.0, 1.0, 0.95, st.ADT, (0.1, 1.2, -0.5))) == [
+        ("parameters", True, None, ""),
+        ("initial_deviation", False, 0, "chi_0 = 0.1, expected 0"),
+        ("deviation_bound", False, 1, "chi_1 = 1.2 outside [-0.95, 0.95]"),
+        ("strictly_increasing", False, 2, "tau_2 - tau_1 = -0.7 <= 0"),
+    ]
+    assert fields(st.ImpulseSchedule(0.0, 1.0, 1.5, st.ADT, (0.0,))) == [
+        ("parameters", False, None, "need 0 <= chi_max < theta"),
+    ]
+    assert fields(st.ImpulseSchedule(0.0, 1.0, 0.2, st.ADT, ())) == [
+        ("parameters", False, None, "schedule must contain at least tau_0"),
+    ]
 
 
 def test_validate_passes_generated_draws():
@@ -238,3 +261,26 @@ def test_doc_missing_fields():
         st.schedule_from_doc({"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "chis": "abc"})
     with pytest.raises(st.InputError, match="^schedule document has a value that is not a number"):
         st.schedule_from_doc({"tau0": 0.0, "theta": None, "chi_max": 0.1, "chis": [0.0]})
+
+
+def test_doc_reads_numpy_scalars():
+    doc = {"tau0": np.int64(1), "theta": np.float32(1.5), "chi_max": np.float64(0.25),
+           "chis": [np.float32(0.0), np.float64(0.125), np.int64(0)]}
+    s = st.schedule_from_doc(doc)
+    assert s == st.ImpulseSchedule(1.0, 1.5, 0.25, st.ADT, (0.0, 0.125, 0.0))
+    assert all(type(v) is float for v in (s.tau0, s.theta, s.chi_max, *s.chis))
+    del doc["chis"]
+    doc["taus"] = [np.int64(1), np.float32(2.625)]
+    assert st.schedule_from_doc(doc).chis == (0.0, 0.125)
+
+
+@pytest.mark.parametrize("patch", [
+    {"chis": "000"}, {"theta": True}, {"taus": ["0", "1"]}, {"tau0": "0"},
+], ids=["chis-string", "theta-bool", "taus-strings", "tau0-string"])
+def test_doc_refuses_bools_and_strings(patch):
+    # float() would read "000" as three zero deviations, true as 1.0 and "0" as 0.0
+    doc = {"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "chis": [0.0, 0.05], **patch}
+    if "taus" in patch:
+        del doc["chis"]
+    with pytest.raises(st.InputError, match="^schedule document has a value that is not a number"):
+        st.schedule_from_doc(doc)
