@@ -28,6 +28,7 @@ import numpy as np
 from .commutators import REL_TOL, _lift_sum, _omega_rows, _walk
 from .errors import ConvergenceError, InputError
 from .linalg import (
+    _diffusive_rate,
     _norms2,
     _spectral_radius,
     as_pair,
@@ -138,9 +139,7 @@ class CertificateProblem:
         if self.omega is not None and not (np.isfinite(self.omega) and self.omega >= 0.0):
             raise InputError("omega must be finite and >= 0")
         E, lift_flow = expm(A, (self.theta, self.theta - self.chi_max))
-        # a numpy scalar squares to inf where a Python float's ** would raise
-        with np.errstate(over="ignore"):
-            rate = float(np.float64(math.pi * self.mu / self.ell) ** 2)
+        rate = _diffusive_rate(self.mu, self.ell)
         if not np.isfinite(rate * self.theta):
             raise ConvergenceError(
                 f"diffusive rate times theta overflowed at mu = {self.mu:g}, ell = {self.ell:g}"

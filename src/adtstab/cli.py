@@ -260,31 +260,30 @@ def cmd_commutators(cfg: dict, seed_override: int | None) -> tuple[str, str, int
     return "\n".join(lines) + "\n", f"computed nested commutators up to order {m_max}", 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", required=True, help="JSON run configuration")
-    common.add_argument("--output", default=None, help="write the result here instead of stdout")
-    common.add_argument("--seed", type=int, default=None, help="override config seeds")
-    common.add_argument("--quiet", action="store_true", help="suppress progress chatter")
-
+def main(argv=None) -> int:
+    # name -> (cmd, help), built per call so that a rebound cmd_* is the one that runs
+    commands = {
+        "certify": (cmd_certify, "evaluate the jump Lyapunov certificate"),
+        "simulate": (cmd_simulate, "sample a trajectory to CSV"),
+        "omega": (cmd_omega, "correction bound and its series table"),
+        "mr-check": (cmd_mr_check, "matching residual of the comparison construction"),
+        "gen-times": (cmd_gen_times, "generate an impulse schedule document"),
+        "commutators": (cmd_commutators, "nested commutator norm table"),
+    }
     parser = argparse.ArgumentParser(
         prog="adtstab",
         description="Certify and simulate impulsive linear systems on averaged dwell-time schedules.",
+        epilog="commands:\n" + "\n".join(f"  {k:<12} {v[1]}" for k, v in commands.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("certify", parents=[common], help="evaluate the jump Lyapunov certificate").set_defaults(func=cmd_certify)
-    sub.add_parser("simulate", parents=[common], help="sample a trajectory to CSV").set_defaults(func=cmd_simulate)
-    sub.add_parser("omega", parents=[common], help="correction bound and its series table").set_defaults(func=cmd_omega)
-    sub.add_parser("mr-check", parents=[common], help="matching residual of the comparison construction").set_defaults(func=cmd_mr_check)
-    sub.add_parser("gen-times", parents=[common], help="generate an impulse schedule document").set_defaults(func=cmd_gen_times)
-    sub.add_parser("commutators", parents=[common], help="nested commutator norm table").set_defaults(func=cmd_commutators)
-    return parser
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser.add_argument("command", choices=commands, help="one of the commands below")
+    parser.add_argument("--config", required=True, help="JSON run configuration")
+    parser.add_argument("--output", default=None, help="write the result here instead of stdout")
+    parser.add_argument("--seed", type=int, default=None, help="override config seeds")
+    parser.add_argument("--quiet", action="store_true", help="suppress progress chatter")
+    args = parser.parse_args(argv)
     try:
-        text, summary, code = args.func(_load_config(args.config), args.seed)
+        text, summary, code = commands[args.command][0](_load_config(args.config), args.seed)
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
             if not args.quiet:

@@ -156,8 +156,8 @@ def _lift_sum(walk) -> float:
 def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
     """Compute {B, A^m} for m = 0..m_max by the defining recurrence."""
     A, B = as_pair(A, B)
-    if m_max < 0:
-        raise InputError("m_max must be >= 0")
+    if not 0 <= m_max < np.iinfo(np.intp).max:  # m_max + 1 terms, a count in the index range
+        raise InputError(f"m_max must be in 0..{np.iinfo(np.intp).max - 1}, got {m_max}")
     terms, norms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         # s = 0: the coefficients go unread

@@ -72,6 +72,15 @@ def check_positive(**values: float) -> None:
             raise InputError(f"{name} must be finite and > 0")
 
 
+def _diffusive_rate(mu: float, ell: float, j: int = 1) -> float:
+    """Diffusive shift mu^2 (j pi / ell)^2 of sine mode j in float64, inf where it
+    overflows; C pow squares, as numpy's scalar ** does, without np.errstate's cost."""
+    try:
+        return (float(mu) * j * math.pi / float(ell)) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def as_vector(x, n: int, name: str = "x0") -> np.ndarray:
     """Coerce to a finite float64 vector of length n."""
     out = np.asarray(x, dtype=float).reshape(-1)

@@ -202,6 +202,18 @@ def _number(value, kind=float):
     return kind(value)
 
 
+def _doc_value(doc: dict, key: str, many: bool = False):
+    """doc[key] read by _number, or each of its entries when many; InputError names the key."""
+    if key not in doc:
+        raise InputError(f"schedule document missing key {key!r}")
+    try:
+        return [_number(v) for v in doc[key]] if many else _number(doc[key])
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(
+            f"schedule document has a value that is not a number: {key} = {doc[key]!r}"
+        ) from None
+
+
 def schedule_from_doc(doc: dict) -> ImpulseSchedule:
     """Rebuild a schedule from its document form.
 
@@ -211,26 +223,19 @@ def schedule_from_doc(doc: dict) -> ImpulseSchedule:
     if not isinstance(doc, dict):
         raise InputError("schedule document must be a JSON object")
     variant = doc.get("variant", ADT)
-    try:
-        theta = _number(doc["theta"])
-        chi_max = _number(doc["chi_max"])
-        if "chis" in doc:
-            chis = [_number(c) for c in doc["chis"]]
-            tau0 = _number(doc["tau0"])
-        elif "taus" in doc:
-            taus = [_number(t) for t in doc["taus"]]
-            if not taus:
-                raise InputError("schedule document has an empty 'taus' list")
-            tau0 = _number(doc.get("tau0", taus[0]))
-            chis = [t - tau0 - k * theta for k, t in enumerate(taus)]
-        else:
-            raise InputError("schedule document needs either 'chis' or 'taus'")
-    except KeyError as exc:
-        raise InputError(f"schedule document missing key {exc.args[0]!r}") from None
-    except InputError:
-        raise  # an InputError is a ValueError; keep its own message
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise InputError(f"schedule document has a value that is not a number: {exc}") from None
+    theta = _doc_value(doc, "theta")
+    chi_max = _doc_value(doc, "chi_max")
+    if "chis" in doc:
+        chis = _doc_value(doc, "chis", many=True)
+        tau0 = _doc_value(doc, "tau0")
+    elif "taus" in doc:
+        taus = _doc_value(doc, "taus", many=True)
+        if not taus:
+            raise InputError("schedule document has an empty 'taus' list")
+        tau0 = _doc_value(doc, "tau0") if "tau0" in doc else taus[0]
+        chis = [t - tau0 - k * theta for k, t in enumerate(taus)]
+    else:
+        raise InputError("schedule document needs either 'chis' or 'taus'")
     if not chis:
         raise InputError("schedule document has an empty 'chis' list")
     _check_params(tau0, theta, chi_max, variant)

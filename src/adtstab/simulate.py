@@ -14,7 +14,6 @@ model whose sine modes evolve independently under shifted generators.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -22,7 +21,7 @@ import numpy as np
 
 from .commutators import commutator_series_stack
 from .errors import ConvergenceError, InputError
-from .linalg import as_vector, check_positive, expm
+from .linalg import _diffusive_rate, as_vector, check_positive, expm
 from .schedules import ImpulseSchedule, _lowest_deviation, require_valid
 from .serialize import fmt
 from .systems import ImpulsiveSystem, lifted_initial
@@ -83,15 +82,21 @@ class ParabolicModel(ImpulsiveSystem):
     def __post_init__(self):
         super().__post_init__()
         check_positive(mu=self.mu, ell=self.ell)
-        if int(self.n_modes) < 1:
-            raise InputError("n_modes must be >= 1")
+        if not 1 <= int(self.n_modes) <= np.iinfo(np.intp).max:
+            raise InputError(f"n_modes must be in 1..{np.iinfo(np.intp).max}, got {self.n_modes}")
         object.__setattr__(self, "n_modes", int(self.n_modes))
 
     def decay_rate(self, j: int) -> float:
-        """Diffusive shift mu^2 (j pi / ell)^2 of mode j."""
+        """Diffusive shift mu^2 (j pi / ell)^2 of mode j; one that leaves
+        float64 raises ConvergenceError."""
         if not 1 <= j <= self.n_modes:
             raise InputError(f"mode index {j} outside 1..{self.n_modes}")
-        return float((self.mu * j * math.pi / self.ell) ** 2)
+        rate = _diffusive_rate(self.mu, self.ell, j)
+        if rate == np.inf:
+            raise ConvergenceError(
+                f"diffusive rate overflowed at mu = {self.mu:g}, ell = {self.ell:g}, j = {j}"
+            )
+        return rate
 
 
 def mode_generator(model: ParabolicModel, j: int) -> np.ndarray:
@@ -127,13 +132,6 @@ def l2_norm(model: ParabolicModel, modes) -> float:
     return float(_rescaled(_as_modes(model, modes)[None], partial(_modal_norms, model.ell))[0])
 
 
-def _sample_grid(tau0: float, t_end: float, sample_dt: float) -> np.ndarray:
-    span = t_end - tau0
-    n = int(math.floor(span / sample_dt + 1e-9))
-    ts = tau0 + sample_dt * np.arange(1, n + 1)
-    return ts[ts <= t_end + 1e-12 * max(1.0, abs(t_end))]
-
-
 # most offsets in one expm call, and states per norm call; bounds working memory
 FLOW_BLOCK = 256
 
@@ -159,7 +157,6 @@ def _trajectory(times, states, jump_rows, norms_of) -> Trajectory:
     """Assemble a Trajectory with norms_of(states) as its norms; a norm that
     overflows even after rescaling (see _rescaled) raises ConvergenceError
     naming its time."""
-    states = np.asarray(states)
     # FLOW_BLOCK rows at a time, so no temporary spans the trajectory
     norms = np.concatenate(
         [_rescaled(states[i:i + FLOW_BLOCK], norms_of) for i in range(0, len(states), FLOW_BLOCK)]
@@ -167,20 +164,33 @@ def _trajectory(times, states, jump_rows, norms_of) -> Trajectory:
     bad = np.flatnonzero(~np.isfinite(norms))
     if bad.size:
         raise ConvergenceError(f"trajectory norm overflowed at t = {times[bad[0]]:g}")
-    return Trajectory(np.asarray(times), states, norms, np.asarray(jump_rows, dtype=int))
+    return Trajectory(times, states, norms, jump_rows)
 
 
-def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norms_of) -> Trajectory:
-    """Shared event loop.
+def _run_events(x0, schedule, t_end, sample_dt, A, evolve, jump, norms_of) -> Trajectory:
+    """Shared event loop of a sampled run from tau_0 to t_end.
 
-    Every event's offset dt from its segment's post-jump time is taken up
-    front, and the flows at each FLOW_BLOCK consecutive offsets of the run
-    come from one expm(A, dts) call, across segment boundaries; a chunk's
-    flows are used up before the next is formed.  evolve(state, dts, flows,
-    out) writes the exact states at offsets dts from state into out, and
-    jump maps the pre-jump state of an impulse to its post-jump state.
+    The schedule, t_end and sample_dt are checked here, and a run whose
+    sample count leaves the index range is refused.  Every event's offset
+    dt from its segment's post-jump time is taken up front, and the flows
+    at each FLOW_BLOCK consecutive offsets of the run come from one
+    expm(A, dts) call, across segment boundaries; a chunk's flows are used
+    up before the next is formed.  evolve(state, dts, flows, out) writes the
+    exact states at offsets dts from state into out, and jump maps the
+    pre-jump state of an impulse to its post-jump state.
     """
-    samples = _sample_grid(tau0, t_end, sample_dt)
+    require_valid(schedule)
+    if not (np.isfinite(t_end) and t_end > schedule.tau0):
+        raise InputError("t_end must exceed tau0")
+    if not (np.isfinite(sample_dt) and sample_dt > 0.0):
+        raise InputError("sample_dt must be > 0")
+    tau0, t_end, sample_dt = schedule.tau0, float(t_end), float(sample_dt)
+    n_samples = (t_end - tau0) / sample_dt + 1e-9
+    if not n_samples <= np.iinfo(np.intp).max:
+        raise InputError(f"run of {n_samples:g} samples is beyond the index range")
+    jump_times = [float(t) for t in schedule.taus[1:] if t <= t_end]
+    samples = tau0 + sample_dt * np.arange(1, int(n_samples) + 1)
+    samples = samples[samples <= t_end + 1e-12 * max(1.0, abs(t_end))]
     ts = np.concatenate([jump_times, samples[~np.isin(samples, jump_times)]])
     if not np.any(ts == t_end):
         ts = np.append(ts, t_end)
@@ -202,21 +212,10 @@ def _run_events(x0, tau0, jump_times, t_end, sample_dt, A, evolve, jump, norms_o
             row, count = rows[start], stop - start
             evolve(x, dts[start:stop], flows[at:at + count], states[row:row + count])
             if is_jump[stop - 1]:
-                x = jump(states[row + count - 1])
-                states[row + count] = x
+                states[row + count] = x = jump(states[row + count - 1])
             start = stop
     times = np.repeat(np.concatenate(([float(tau0)], ts)), np.concatenate(([1], 1 + is_jump)))
     return _trajectory(times, states, rows[is_jump] + 1, norms_of)
-
-
-def _jump_times(schedule: ImpulseSchedule, t_end: float, sample_dt: float) -> list[float]:
-    """Validate a sampled run from tau_0 to t_end; return its impulse instants."""
-    require_valid(schedule)
-    if not (np.isfinite(t_end) and t_end > schedule.tau0):
-        raise InputError("t_end must exceed tau0")
-    if not (np.isfinite(sample_dt) and sample_dt > 0.0):
-        raise InputError("sample_dt must be > 0")
-    return [float(t) for t in schedule.taus[1:] if t <= t_end]
 
 
 def simulate_ode(
@@ -227,18 +226,15 @@ def simulate_ode(
     sample_dt: float,
 ) -> Trajectory:
     """Simulate the impulsive flow from tau_0 with exact segment propagation."""
-    jump_times = _jump_times(schedule, t_end, sample_dt)
     x0 = as_vector(x0, system.n)
-    A, B = system.A, system.B
     return _run_events(
         x0,
-        schedule.tau0,
-        jump_times,
-        float(t_end),
-        float(sample_dt),
-        A,
+        schedule,
+        t_end,
+        sample_dt,
+        system.A,
         evolve=lambda x, dts, flows, out: np.matmul(flows, x, out=out),
-        jump=lambda x: B @ x,
+        jump=lambda x: system.B @ x,
         norms_of=_vector_norms,
     )
 
@@ -265,29 +261,23 @@ def simulate_comparison(
             f"K = {K} needs at least {K + 2} (jump at K*theta uses chi_(K+1))"
         )
     z0 = as_vector(z0, system.n)
-    theta = schedule.theta
+    K = int(K)
     lo = _lowest_deviation(schedule.chi_max, schedule.variant)
-    spans = np.asarray(schedule.chis[2:int(K) + 2]) - lo  # chi_(k+1) - lo, each in its window
-    E = expm(system.A, theta)
-
-    times = [0.0]
-    states = [z0]
-    jump_rows = []
-    z = z0
+    spans = np.asarray(schedule.chis[2:K + 2]) - lo  # chi_(k+1) - lo, each in its window
+    E = expm(system.A, schedule.theta)
+    # z0, then the pre-jump and post-jump states at k theta in rows 2k - 1 and 2k
+    states = np.empty((2 * K + 1, system.n))
+    states[0] = z = z0
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, len(spans), FLOW_BLOCK):
+        for first in range(0, K, FLOW_BLOCK):
             G = commutator_series_stack(
                 system.A, system.B, spans[first:first + FLOW_BLOCK], start=1
             )[0]
             for k, J in enumerate(system.B + G, start=first + 1):
-                pre = E @ z
-                times.append(k * theta)
-                states.append(pre)
-                z = J @ pre
-                times.append(k * theta)
-                states.append(z)
-                jump_rows.append(len(times) - 1)
-    return _trajectory(times, states, jump_rows, _vector_norms)
+                states[2 * k - 1] = pre = E @ z
+                states[2 * k] = z = J @ pre
+    times = np.repeat(schedule.theta * np.arange(K + 1), [1] + [2] * K)
+    return _trajectory(times, states, 2 * np.arange(1, K + 1), _vector_norms)
 
 
 def matching_residual(
@@ -342,10 +332,8 @@ def simulate_parabolic(
     of length dt maps mode j through exp(-rate_j dt) * e^(A dt); the modes
     never couple and the jump applies B to every coefficient vector.
     """
-    jump_times = _jump_times(schedule, t_end, sample_dt)
     C0 = _as_modes(model, init_modes, "init_modes")
     rates = np.array([model.decay_rate(j) for j in range(1, model.n_modes + 1)])
-    A, B = model.A, model.B
 
     def evolve(C, dts, flows, out):
         decay = np.exp(-rates[None] * dts[:, None])[:, :, None]
@@ -353,13 +341,12 @@ def simulate_parabolic(
 
     return _run_events(
         C0,
-        schedule.tau0,
-        jump_times,
-        float(t_end),
-        float(sample_dt),
-        A,
+        schedule,
+        t_end,
+        sample_dt,
+        model.A,
         evolve=evolve,
-        jump=lambda C: C @ B.T,
+        jump=lambda C: C @ model.B.T,
         norms_of=partial(_modal_norms, model.ell),
     )
 

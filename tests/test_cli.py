@@ -137,9 +137,10 @@ def test_missing_config_exit2(tmp_path, capsys):
 
 def test_malformed_config_exit2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json", encoding="utf-8")
-    assert main(["certify", "--config", str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for text, message in (("{not json", "is not valid JSON"), ("[1, 2]", "must be a JSON object")):
+        bad.write_text(text, encoding="utf-8")
+        assert main(["certify", "--config", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: config {bad} {message}")
 
 
 def test_simulate_parabolic_unit_data_decays(ref_config_path, tmp_path):
@@ -634,3 +635,84 @@ def test_gen_times_reports_initial_deviation_as_a_number(tmp_path, capsys):
     path = _patched_config(BUNDLED_CONFIG, tmp_path, patches)
     assert main(["gen-times", "--config", str(path)]) == 2
     assert capsys.readouterr().err == "error: invalid schedule (initial_deviation): chi_0 = 0.1, expected 0\n"
+
+
+INTP_MAX = np.iinfo(np.intp).max
+
+# a value past float64 or the index range, with a subcommand that reads it,
+# whether to drop the pde section, and the one-line error
+PAST_RANGE = {
+    "t_end": ({"run.t_end": 1e308}, "simulate", False,
+              "run of inf samples is beyond the index range"),
+    "t_end-vector": ({"run.t_end": 1e308}, "simulate", True,
+                     "run of inf samples is beyond the index range"),
+    "sample_dt": ({"run.sample_dt": 1e-300}, "simulate", False,
+                  "run of 3e+301 samples is beyond the index range"),
+    "sample_dt-vector": ({"run.sample_dt": 1e-300}, "simulate", True,
+                         "run of 3e+301 samples is beyond the index range"),
+    "mu": ({"pde.mu": 1e160}, "simulate", False,
+           "diffusive rate overflowed at mu = 1e+160, ell = 3.14159, j = 1"),
+    "ell": ({"pde.ell": 1e-300}, "simulate", False,
+            "diffusive rate overflowed at mu = 1, ell = 1e-300, j = 1"),
+    "m_max": ({"run.m_max": 10**30}, "commutators", False,
+              f"m_max must be in 0..{INTP_MAX - 1}, got {10**30}"),
+    "n_modes": ({"pde.n_modes": 10**30}, "simulate", False,
+                f"n_modes must be in 1..{INTP_MAX}, got {10**30}"),
+    "n_modes-certify": ({"pde.n_modes": 10**30}, "certify", False,
+                        f"n_modes must be in 1..{INTP_MAX}, got {10**30}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAST_RANGE))
+def test_values_past_the_range_exit2(tmp_path, capsys, case):
+    patches, sub, vector, message = PAST_RANGE[case]
+    path = _patched_config(BUNDLED_CONFIG, tmp_path, patches, drop=("pde",) if vector else ())
+    out = tmp_path / "out"
+    assert main([sub, "--config", str(path), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# the config readers' own input checks, each with the arguments that reach it
+CONFIG_CHECKS = {
+    "system.n": ({"system.n": 0}, ["omega"], "system.n must be >= 1, got 0"),
+    "seed-flag": ({}, ["gen-times", "--seed", "-1"], "seeds must be >= 0, got -1"),
+    "schedule.seed": ({"schedule.seed": -1}, ["gen-times"], "seeds must be >= 0, got -1"),
+    "no-generator": ({"schedule.count": None}, ["gen-times"],
+                     "schedule section needs 'chis'/'taus' or generator parameters with 'count'"),
+    "run.m_max": ({"run.m_max": -1}, ["commutators"], "m_max must be "),
+    "pde.n_modes": ({"pde.n_modes": 0}, ["simulate"], "n_modes must be "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_CHECKS))
+def test_config_checks_exit2(tmp_path, capsys, case):
+    patches, args, start = CONFIG_CHECKS[case]
+    path = _patched_config(BUNDLED_CONFIG, tmp_path, patches)
+    assert main([*args, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {start}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("chis, shown", [([0.0, "x"], "[0.0, 'x']"), ("000", "'000'")],
+                         ids=["entry", "string"])
+def test_schedule_number_errors_name_the_key(tmp_path, capsys, chis, shown):
+    path = _patched_config(BUNDLED_CONFIG, tmp_path, {"schedule.count": None, "schedule.chis": chis})
+    for sub in ("gen-times", "simulate", "mr-check"):
+        assert main([sub, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: schedule document has a value that is not a number: chis = {shown}\n"
+        )
+
+
+def test_options_may_come_before_the_command(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert main(["gen-times", "--config", str(BUNDLED_CONFIG), "--output", str(a), "--quiet"]) == 0
+    assert main(["--config", str(BUNDLED_CONFIG), "--quiet", "--output", str(b), "gen-times"]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listed = capsys.readouterr().out.split("commands:\n", 1)[1].splitlines()
+    assert [line.split()[0] for line in listed] == SUBCOMMANDS

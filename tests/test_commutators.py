@@ -1,3 +1,4 @@
+import re
 import warnings
 from math import factorial
 
@@ -142,6 +143,14 @@ def test_series_argument_validation(ref):
         hadamard_series(ref.A, ref.B, -0.5)
     with pytest.raises(InputError):
         commutator_series(ref.A, ref.B, 0.1, start=2)
+
+
+@pytest.mark.parametrize("m_max", [np.iinfo(np.intp).max, 10**30], ids=["intp_max", "1e30"])
+def test_term_count_past_the_index_range_is_refused(ref, m_max):
+    # m_max + 1 terms: islice takes at most intp max of them
+    message = f"m_max must be in 0..{np.iinfo(np.intp).max - 1}, got {m_max}"
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        nested_commutators(ref.A, ref.B, m_max)
 
 
 # {B, A^m} for A = diag(1, -1) and this B has 2-norm 2^m; for A/2 it is

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -249,9 +250,11 @@ def test_doc_accepts_explicit_instants():
 
 
 def test_doc_missing_fields():
-    with pytest.raises(st.InputError):
+    with pytest.raises(st.InputError, match="^schedule document must be a JSON object$"):
+        st.schedule_from_doc([])
+    with pytest.raises(st.InputError, match="^schedule document missing key 'chi_max'$"):
         st.schedule_from_doc({"theta": 1.0})
-    with pytest.raises(st.InputError):
+    with pytest.raises(st.InputError, match="^schedule document missing key 'tau0'$"):
         st.schedule_from_doc({"theta": 1.0, "chi_max": 0.1, "chis": [0.0]})
     with pytest.raises(st.InputError, match="^schedule document needs either 'chis' or 'taus'$"):
         st.schedule_from_doc({"tau0": 0.0, "theta": 1.0, "chi_max": 0.1})
@@ -275,12 +278,15 @@ def test_doc_reads_numpy_scalars():
 
 
 @pytest.mark.parametrize("patch", [
-    {"chis": "000"}, {"theta": True}, {"taus": ["0", "1"]}, {"tau0": "0"},
-], ids=["chis-string", "theta-bool", "taus-strings", "tau0-string"])
+    {"chis": "000"}, {"chis": [0.0, "x"]}, {"theta": True}, {"taus": ["0", "1"]}, {"tau0": "0"},
+], ids=["chis-string", "chis-entry", "theta-bool", "taus-strings", "tau0-string"])
 def test_doc_refuses_bools_and_strings(patch):
-    # float() would read "000" as three zero deviations, true as 1.0 and "0" as 0.0
+    # float() would read "000" as three zero deviations, true as 1.0 and "0" as 0.0;
+    # the error names the key and its whole value
     doc = {"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "chis": [0.0, 0.05], **patch}
     if "taus" in patch:
         del doc["chis"]
-    with pytest.raises(st.InputError, match="^schedule document has a value that is not a number"):
+    ((key, value),) = patch.items()
+    message = f"schedule document has a value that is not a number: {key} = {value!r}"
+    with pytest.raises(st.InputError, match=f"^{re.escape(message)}$"):
         st.schedule_from_doc(doc)

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -75,6 +76,52 @@ def test_simulate_validation(ref_system):
     bad = st.ImpulseSchedule(0.0, 1.0, 0.1, st.ADT, (0.0, 0.5))
     with pytest.raises(st.InputError):
         st.simulate_ode(ref_system, bad, [1.0, 0.0], t_end=2.0, sample_dt=0.5)
+    with pytest.raises(st.InputError, match="^x0 has non-finite entries$"):
+        st.simulate_ode(ref_system, sched, [np.nan, 0.0], t_end=2.0, sample_dt=0.5)
+
+
+# (t_end - tau0) / sample_dt is inf, 3e301 or 2^63 samples, all past the index range
+@pytest.mark.parametrize("t_end, sample_dt, count", [
+    (1e308, 0.05, "inf"), (30.0, 1e-300, "3e+301"), (2.0**63, 1.0, "9.22337e+18"),
+], ids=["t_end", "sample_dt", "2^63"])
+def test_run_past_the_index_range_is_refused(ref_system, ref_model, t_end, sample_dt, count):
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 4, st.ADT, seed=3)
+    message = f"^run of {re.escape(count)} samples is beyond the index range$"
+    with pytest.raises(st.InputError, match=message):
+        st.simulate_ode(ref_system, sched, [1.0, 0.0], t_end, sample_dt)
+    with pytest.raises(st.InputError, match=message):
+        st.simulate_parabolic(ref_model, sched, np.zeros((32, 2)), t_end, sample_dt)
+
+
+def test_mode_rate_that_overflows_raises_convergence_error(ref):
+    # (mu j pi / ell)^2 leaves float64 from j = 10^4 at mu = 1e150, ell = 1
+    model = st.ParabolicModel(A=ref.A, B=ref.B, mu=1e150, ell=1.0, n_modes=10**4)
+    assert model.decay_rate(1) == (1e150 * math.pi) ** 2
+    message = r"^diffusive rate overflowed at mu = 1e\+150, ell = 1, j = 10000$"
+    with pytest.raises(st.ConvergenceError, match=message):
+        model.decay_rate(10**4)
+    with pytest.raises(st.ConvergenceError, match=message):
+        st.mode_generator(model, 10**4)
+    huge = st.ParabolicModel(A=ref.A, B=ref.B, mu=1e160, ell=1.0, n_modes=1)
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 4, st.ADT, seed=3)
+    with pytest.raises(st.ConvergenceError, match=r"at mu = 1e\+160, ell = 1, j = 1$"):
+        st.simulate_parabolic(huge, sched, [[1.0, 0.0]], 2.0, 0.5)
+    # every finite rate keeps its bits: simulate's mu j pi / ell and, at j = 1,
+    # certify's pi mu / ell
+    for mu, ell in ((ref.mu, ref.ell), (0.7, 2.5), (1e150, 1.0), (3.0, 1e-150)):
+        model = st.ParabolicModel(A=ref.A, B=ref.B, mu=mu, ell=ell, n_modes=32)
+        assert [model.decay_rate(j) for j in range(1, 33)] == [
+            (mu * j * math.pi / ell) ** 2 for j in range(1, 33)
+        ]
+        problem = st.CertificateProblem(ref.A, ref.B, 1e-300, 0.0, mu, ell)
+        assert problem.rate == (math.pi * mu / ell) ** 2 == model.decay_rate(1)
+
+
+@pytest.mark.parametrize("n_modes", [np.iinfo(np.intp).max + 1, 10**30], ids=["2^63", "1e30"])
+def test_mode_count_past_the_index_range_is_refused(ref, n_modes):
+    message = f"n_modes must be in 1..{np.iinfo(np.intp).max}, got {n_modes}"
+    with pytest.raises(st.InputError, match=f"^{re.escape(message)}$"):
+        st.ParabolicModel(A=ref.A, B=ref.B, mu=1.0, ell=1.0, n_modes=n_modes)
 
 
 def test_comparison_equals_ode_on_uniform_grid(ref_system, ref):

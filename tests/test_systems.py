@@ -91,6 +91,8 @@ def test_comparison_jump_span_validation(ref_system):
         st.comparison_jump(ref_system, -0.05, 0.2, st.ADT_PLUS)
     with pytest.raises(st.InputError):
         st.comparison_jump(ref_system, 0.1, 0.2, "weekly")
+    with pytest.raises(st.InputError, match="^chi_next and chi_max must be finite"):
+        st.comparison_jump(ref_system, np.nan, 0.1, st.ADT)
 
 
 def test_lifted_initial_is_linear(ref_system, ref):
