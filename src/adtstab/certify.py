@@ -25,7 +25,7 @@ from itertools import tee
 
 import numpy as np
 
-from .commutators import REL_TOL, _lift_sum, _omega_rows, _walk
+from .commutators import REL_TOL, _lift_sum, _omega_rows, _system, _walk
 from .errors import ConvergenceError, InputError
 from .linalg import (
     _diffusive_rate,
@@ -221,6 +221,7 @@ class CertificateProblem:
         radius = _spectral_radius(self.phi)
         below = radius == 0.0 or math.log(radius) < log_threshold
         margin = self.margin(p0)
+        system = _system(A.tobytes(), B.tobytes(), A.shape)
 
         return CertificateReport(
             certified=bool(below and margin > 0.0),
@@ -232,8 +233,8 @@ class CertificateProblem:
             p0=p0,
             # A - rate id is Hurwitz iff every eigenvalue of A lies left of
             # rate; forming A - rate id could overflow
-            shifted_a_hurwitz=bool(np.max(np.linalg.eigvals(A).real) < self.rate),
-            b_schur=_spectral_radius(B) < 1.0,
+            shifted_a_hurwitz=system.a_abscissa < self.rate,
+            b_schur=system.b_radius < 1.0,
             lift_amplification=self._lift,
             inputs={
                 "n": int(A.shape[0]),

@@ -5,7 +5,8 @@ Each cmd_* takes the parsed config and the --seed override and returns its
 artifact text, a one-line summary and its exit code: 0 on success/certified,
 1 on an honest negative.  main reads the config (--config) and writes the
 artifact (to --output, or stdout) and the summary; cmd_simulate also writes
-the mode_NNN.csv files of run.per_mode_dir.  Invalid input exits 2.
+the mode_NNN.csv files of run.per_mode_dir.  Invalid input, and a run that
+does not fit in memory, exit 2.
 """
 
 from __future__ import annotations
@@ -292,6 +293,9 @@ def main(argv=None) -> int:
             sys.stdout.write(text)
     except (InputError, GenerationError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:  # exit 1 is the honest negative, never a failed run
+        print(f"error: {args.command} does not fit in memory", file=sys.stderr)
         return 2
     return code
 

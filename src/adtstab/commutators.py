@@ -17,6 +17,9 @@ the commutators, their coefficients s^m/m! and, NORM_CHUNK orders per call
 of linalg._norms2 (the one 2-norm kernel), their 2-norms.  A term's size is
 |s^m/m!| ||{B, A^m}||: the scalar bounds (the jump correction omega and the
 lift amplification) sum it, and a certificate point reads both from one walk.
+The walk is remembered per system: the terms {B, A^m} and their norms depend
+on A and B alone, so each is formed once per (A, B) in a 16-slot memo
+(_system) and read by every later walk, whatever its s.
 
 Matrix series are summed for a whole stack of arguments s_1..s_k from one
 walk (commutator_series_stack); each s_i stops by its own count of quiet
@@ -27,13 +30,14 @@ commutator_series is a stack of one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import count, islice
 
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .linalg import _norms2, as_pair, expm
+from .linalg import _norms2, _spectral_radius, as_pair, expm
 from .schedules import check_window
 
 TERM_CAP = 200
@@ -84,6 +88,52 @@ class SeriesTerm:
     contribution: float
 
 
+class _System:
+    """What one (A, B) contributes to every walk and certificate point.
+
+    chunks maps a chunk's first order to (terms, norms): the read-only
+    (NORM_CHUNK, n, n) stack of {B, A^m} from that order on and its 2-norms.
+    The spectral abscissa max Re eig(A) and the spectral radius rho(B) are
+    taken on first read.
+    """
+
+    def __init__(self, A: np.ndarray, B: np.ndarray):
+        self.A, self.B = A, B
+        self.chunks: dict[int, tuple[np.ndarray, list[float]]] = {}
+
+    @functools.cached_property
+    def a_abscissa(self) -> float:
+        return float(np.max(np.linalg.eigvals(self.A).real))
+
+    @functools.cached_property
+    def b_radius(self) -> float:
+        return _spectral_radius(self.B)
+
+
+@functools.lru_cache(maxsize=16)
+def _system(a: bytes, b: bytes, shape) -> _System:
+    """The remembered record of the system whose coerced A and B have these
+    bits and this shape, so an in-place edit of A never reads a stale term.
+
+    A and B are read-only views of the key's own bytes.  A slot stores the
+    chunks that start at order TERM_CAP or below, at most
+    TERM_CAP // NORM_CHUNK + 1 = 26 chunks of NORM_CHUNK n-by-n terms:
+    106 KB at n = 8, so 16 slots hold under 2 MB.
+    """
+    return _System(np.frombuffer(a).reshape(shape), np.frombuffer(b).reshape(shape))
+
+
+def _chunk(system: _System, prev) -> tuple[np.ndarray, list[float]]:
+    """The NORM_CHUNK terms after prev = {B, A^(first - 1)} (from B itself
+    for prev None), read-only, and their 2-norms from one _norms2 call."""
+    A = system.A
+    terms = np.empty((NORM_CHUNK, *A.shape))
+    for j in range(NORM_CHUNK):
+        terms[j] = prev = system.B if prev is None else prev @ A - A @ prev
+    terms.setflags(write=False)
+    return terms, _norms2(terms).tolist()
+
+
 def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
     """Yield (m, s^m/m!, {B, A^m}, norms) for m = 0, 1, ..., where norms
     lists ||{B, A^m}|| and, given E, ||{B, A^m} E||; s is a number (with
@@ -91,21 +141,27 @@ def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
 
     The walk never ends; each consumer reads the orders it needs, under one
     np.errstate, and checks the norms it reads (inf for a term that
-    overflowed).  Terms are formed NORM_CHUNK orders at a time, with all
-    2-norms of a chunk from one _norms2 call, so a consumer that stops early
-    leaves at most NORM_CHUNK - 1 formed terms unread.  Two sums may share
-    one walk through itertools.tee: each reads it as far as it needs, with
-    the bits of a walk of its own.
+    overflowed).  The walk is remembered per system: chunk k of NORM_CHUNK
+    terms and their norms is read from _system(A, B), or formed from the last
+    term of chunk k - 1 under the consumer's np.errstate and stored there
+    (up to order TERM_CAP), with the bits a fresh walk would give.  Two walks
+    that form the same chunk keep the first copy stored.  The coefficients
+    and, given E, the norms ||{B, A^m} E|| are taken per walk.  Two sums may
+    share one walk through itertools.tee: each reads it as far as it needs,
+    with the bits of a walk of its own.
     """
+    system = _system(A.tobytes(), B.tobytes(), A.shape)
     coeff = np.ones_like(s) if isinstance(s, np.ndarray) else 1.0
-    term = B
+    terms = None
     for first in count(0, NORM_CHUNK):
-        terms = np.empty((NORM_CHUNK, *B.shape))
-        for j in range(NORM_CHUNK):
-            terms[j] = term
-            term = term @ A - A @ term
-        norms = _norms2(terms if E is None else np.concatenate([terms, terms @ E]))
-        for m, T, row in zip(count(first), terms, norms.reshape(-1, NORM_CHUNK).T.tolist()):
+        chunk = system.chunks.get(first)
+        if chunk is None:
+            chunk = _chunk(system, None if terms is None else terms[-1])
+            if first <= TERM_CAP:
+                chunk = system.chunks.setdefault(first, chunk)
+        terms, norms = chunk
+        rows = zip(norms) if E is None else zip(norms, _norms2(terms @ E).tolist())
+        for m, T, row in zip(count(first), terms, rows):
             yield m, coeff, T, row
             coeff = coeff * (s / (m + 1))
 

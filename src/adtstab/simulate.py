@@ -171,7 +171,8 @@ def _run_events(x0, schedule, t_end, sample_dt, A, evolve, jump, norms_of) -> Tr
     """Shared event loop of a sampled run from tau_0 to t_end.
 
     The schedule, t_end and sample_dt are checked here, and a run whose
-    sample count leaves the index range is refused.  Every event's offset
+    sample count, or the byte size of its float64 sample arrays, leaves the
+    index range is refused before anything is allocated.  Every event's offset
     dt from its segment's post-jump time is taken up front, and the flows
     at each FLOW_BLOCK consecutive offsets of the run come from one
     expm(A, dts) call, across segment boundaries; a chunk's flows are used
@@ -188,6 +189,10 @@ def _run_events(x0, schedule, t_end, sample_dt, A, evolve, jump, norms_of) -> Tr
     n_samples = (t_end - tau0) / sample_dt + 1e-9
     if not n_samples <= np.iinfo(np.intp).max:
         raise InputError(f"run of {n_samples:g} samples is beyond the index range")
+    if not 8.0 * n_samples <= np.iinfo(np.intp).max:  # bytes of one float64 sample array
+        raise InputError(
+            f"run of {n_samples:g} samples takes {8.0 * n_samples:g} bytes, beyond the index range"
+        )
     jump_times = [float(t) for t in schedule.taus[1:] if t <= t_end]
     samples = tau0 + sample_dt * np.arange(1, int(n_samples) + 1)
     samples = samples[samples <= t_end + 1e-12 * max(1.0, abs(t_end))]

@@ -481,3 +481,21 @@ def test_memo_and_direct_problem_agree_on_float32_scalars(ref):
     point = (ref.A, ref.B, np.float32(1.1), np.float32(0.1), ref.mu, ref.ell)
     direct = st.CertificateProblem(*point).evaluate().to_doc()
     assert st.evaluate_certificate(*point).to_doc() == direct
+
+
+def test_cells_of_one_system_form_its_commutators_and_spectra_once(ref, record_calls, monkeypatch):
+    # the first cell has the largest chi_max (0.45 * 2.2), so its walk reads
+    # furthest and every later cell reads only chunks it stored
+    eigvals, calls = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda M: calls.append(1) or eigvals(M))
+    chunks = record_calls(commutators._chunk)
+    formed, spectra = [], []
+    for chi in (0.45, 0.0, 0.1, 0.3):
+        for theta in (2.2, 0.6, 1.0, 1.4):
+            point = (ref.A, ref.B, theta, chi * theta, ref.mu, ref.ell)
+            st.evaluate_certificate(*point, p0=st.search_p0(*point))
+            formed.append(len(chunks))
+            spectra.append(len(calls))
+    assert formed[0] > 0 and formed == [formed[0]] * 16
+    # every cell takes rho(Phi); only the first takes max Re eig(A) and rho(B)
+    assert spectra == [3 + i for i in range(16)]

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import adtstab as st
-from adtstab import commutators, linalg
+from adtstab import cli, commutators, linalg
 from adtstab.cli import main
 
 
@@ -650,6 +650,9 @@ PAST_RANGE = {
                   "run of 3e+301 samples is beyond the index range"),
     "sample_dt-vector": ({"run.sample_dt": 1e-300}, "simulate", True,
                          "run of 3e+301 samples is beyond the index range"),
+    # 3e18 samples fit the index range, but their 8-byte floats do not
+    "sample_dt-bytes": ({"run.sample_dt": 1e-17}, "simulate", False,
+                        "run of 3e+18 samples takes 2.4e+19 bytes, beyond the index range"),
     "mu": ({"pde.mu": 1e160}, "simulate", False,
            "diffusive rate overflowed at mu = 1e+160, ell = 3.14159, j = 1"),
     "ell": ({"pde.ell": 1e-300}, "simulate", False,
@@ -671,6 +674,18 @@ def test_values_past_the_range_exit2(tmp_path, capsys, case):
     assert main([sub, "--config", str(path), "--output", str(out)]) == 2
     assert not out.exists()
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_run_that_does_not_fit_in_memory_exits2(ref_config_path, tmp_path, capsys, monkeypatch):
+    # exit 1 is the honest negative, so running out of memory must not read as one
+    def out_of_memory(cfg, seed):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "cmd_simulate", out_of_memory)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(ref_config_path), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "error: simulate does not fit in memory\n")
 
 
 # the config readers' own input checks, each with the arguments that reach it

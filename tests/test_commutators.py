@@ -16,6 +16,7 @@ from adtstab import (
     generate_schedule,
 )
 from adtstab.commutators import (
+    NORM_CHUNK,
     REL_TOL,
     TERM_CAP,
     commutator_series,
@@ -24,6 +25,7 @@ from adtstab.commutators import (
     correction_terms,
     hadamard_series,
     lift_bound,
+    _system,
     nested_commutators,
 )
 from adtstab.linalg import expm, spectral_norm
@@ -474,3 +476,83 @@ def test_bound_series_ignore_an_unread_overflowing_term():
         assert np.isfinite(lift_bound(A, B, 2.0 * chi_max, chi_max))
     assert caught == []
     assert all(8 <= m < 13 for m in last)
+
+
+def _series_readers(A, B, chi_max, theta, spans):
+    """Readers of the walk of (A, B), each returning its value as bytes:
+    omega, the lift amplification, a series stack, and the first 40
+    commutators with their norms."""
+    return [
+        lambda: correction_bound(A, B, chi_max).hex(),
+        lambda: lift_bound(A, B, theta, chi_max).hex(),
+        lambda: [a.tobytes() for a in commutator_series_stack(A, B, spans, 1)],
+        lambda: _commutator_bytes(A, B),
+    ]
+
+
+def _commutator_bytes(A, B):
+    seq = nested_commutators(A, B, 40)
+    return [T.tobytes() for T in seq.terms] + [v.hex() for v in seq.norms]
+
+
+def _series_values(A, B, chi_max, theta, spans):
+    return [read() for read in _series_readers(A, B, chi_max, theta, spans)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    hs.integers(1, 8),
+    hs.integers(0, 2**32 - 1),
+    hs.integers(-3, 0),
+    hs.integers(-150, 150),
+    hs.floats(0.0, 0.45),
+    hs.lists(hs.floats(-1.5, 1.5), min_size=1, max_size=6),
+)
+def test_remembered_walk_is_bitwise_a_fresh_one(n, seed, ka, kb, ratio, spans):
+    rng = np.random.default_rng(seed)
+    A = 10.0**ka * rng.uniform(-1, 1, (n, n))
+    B = 10.0**kb * rng.uniform(-1, 1, (n, n))
+    readers = _series_readers(A, B, ratio, 1.0, spans)
+    fresh = []
+    for read in readers:  # each from a cleared memo
+        _system.cache_clear()
+        fresh.append(read())
+    # in reverse, so each reader hits chunks another one formed, then all hits
+    assert [read() for read in readers[::-1]] == fresh[::-1]
+    assert [read() for read in readers] == fresh
+    assert _system.cache_info().currsize == 1
+
+
+def test_remembered_walk_sees_an_in_place_edit_of_a(ref):
+    A = ref.A.copy()
+    before = _series_values(A, ref.B, ref.chi_max, ref.theta, [0.3])
+    A[0, 1] += 0.5
+    after = _series_values(A, ref.B, ref.chi_max, ref.theta, [0.3])
+    _system.cache_clear()
+    assert after == _series_values(A.copy(), ref.B, ref.chi_max, ref.theta, [0.3])
+    assert after != before
+
+
+def test_remembered_terms_are_read_only(ref):
+    seq = nested_commutators(ref.A, ref.B, 3)
+    with pytest.raises(ValueError):
+        seq.terms[1][0, 0] = 1.0
+    again = nested_commutators(ref.A, ref.B, 3)
+    assert np.array_equal(again.terms[1], seq.terms[1])
+
+
+def test_system_memo_holds_at_most_16_systems():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        correction_bound(rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 3)), 0.2)
+    assert _system.cache_info().currsize == 16
+
+
+def test_system_memo_stores_no_chunk_past_the_term_cap():
+    A = 0.5 * np.diag([1.0, -1.0])
+    seq = nested_commutators(A, SWAP, TERM_CAP + 50)
+    assert len(seq) == TERM_CAP + 51
+    chunks = _system(A.tobytes(), SWAP.tobytes(), A.shape).chunks
+    assert sorted(chunks) == list(range(0, TERM_CAP + 1, NORM_CHUNK))
+    # the unstored orders are formed again, with the same bits
+    assert nested_commutators(A, SWAP, TERM_CAP + 50).norms == seq.norms

@@ -93,6 +93,17 @@ def test_run_past_the_index_range_is_refused(ref_system, ref_model, t_end, sampl
         st.simulate_parabolic(ref_model, sched, np.zeros((32, 2)), t_end, sample_dt)
 
 
+def test_run_whose_samples_exceed_the_index_range_in_bytes_is_refused(ref_system, ref_model):
+    # 3e18 samples are inside the index range, but 8 bytes each are not;
+    # the run is refused before anything is allocated
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 4, st.ADT, seed=3)
+    message = r"^run of 3e\+18 samples takes 2\.4e\+19 bytes, beyond the index range$"
+    with pytest.raises(st.InputError, match=message):
+        st.simulate_ode(ref_system, sched, [1.0, 0.0], 30.0, 1e-17)
+    with pytest.raises(st.InputError, match=message):
+        st.simulate_parabolic(ref_model, sched, np.zeros((32, 2)), 30.0, 1e-17)
+
+
 def test_mode_rate_that_overflows_raises_convergence_error(ref):
     # (mu j pi / ell)^2 leaves float64 from j = 10^4 at mu = 1e150, ell = 1
     model = st.ParabolicModel(A=ref.A, B=ref.B, mu=1e150, ell=1.0, n_modes=10**4)
