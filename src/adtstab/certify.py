@@ -197,7 +197,7 @@ class CertificateProblem:
             return np.eye(n)
         Q = self.E.T @ self.E + np.eye(n)
         a = math.sqrt(self.discount) * self.phi.T
-        M = np.eye(n * n) - np.kron(a, a)
+        M = np.eye(n * n) - (a[:, None, :, None] * a[None, :, None, :]).reshape(n * n, n * n)
         if not np.linalg.cond(M, 1) <= 2.0**53:
             return None
         P = np.linalg.solve(M, (Q / _norms2(Q[None])[0]).ravel()).reshape(n, n)

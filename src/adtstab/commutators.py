@@ -168,7 +168,8 @@ def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
 
 def _truncated_sum(terms, label: str) -> float:
     """Sum scalar terms until _QUIET_NEEDED consecutive ones are at most
-    REL_TOL times the running sum in magnitude."""
+    REL_TOL times the running sum in magnitude; a term or a sum that leaves
+    float64 raises ConvergenceError."""
     total = None
     magnitude = float("inf")
     quiet = 0
@@ -181,6 +182,8 @@ def _truncated_sum(terms, label: str) -> float:
             if magnitude <= REL_TOL * abs(total):
                 quiet += 1
                 if quiet >= _QUIET_NEEDED:
+                    if not np.isfinite(total):  # finite terms can still overflow the sum
+                        raise ConvergenceError(f"{label}: running sum overflowed")
                     return total
             else:
                 quiet = 0

@@ -10,6 +10,10 @@ norms and CSV rows are formed per array, not per state.  Three simulators
 are provided: the original system on its jittered schedule, the
 dwell-normalized comparison system on the uniform grid, and a parabolic
 model whose sine modes evolve independently under shifted generators.
+matching_residual checks the comparison construction on a run in one pass
+over its jumps: it steps the original and the comparison system side by
+side, with the bits of the simulators, and takes every flow it needs from
+one expm call per FLOW_BLOCK jumps.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .errors import ConvergenceError, InputError
 from .linalg import _diffusive_rate, as_vector, check_positive, expm
 from .schedules import ImpulseSchedule, _lowest_deviation, require_valid
 from .serialize import fmt
-from .systems import ImpulsiveSystem, lifted_initial
+from .systems import ImpulsiveSystem, _deviation_span, _lift
 
 __all__ = [
     "Trajectory",
@@ -269,20 +273,38 @@ def simulate_comparison(
     K = int(K)
     lo = _lowest_deviation(schedule.chi_max, schedule.variant)
     spans = np.asarray(schedule.chis[2:K + 2]) - lo  # chi_(k+1) - lo, each in its window
-    E = expm(system.A, schedule.theta)
-    # z0, then the pre-jump and post-jump states at k theta in rows 2k - 1 and 2k
     states = np.empty((2 * K + 1, system.n))
-    states[0] = z = z0
+    states[0] = z0
+    _comparison_steps(system, expm(system.A, schedule.theta), spans, states)
+    return _jump_trajectory(schedule.theta * np.arange(K + 1), states)
+
+
+def _comparison_steps(system: ImpulsiveSystem, E: np.ndarray, spans, states: np.ndarray) -> None:
+    """Step the comparison system from states[0] across one jump per span:
+    rows 2k - 1 and 2k get the pre-jump and post-jump states of jump k.
+
+    E is e^(theta A), and jump k maps pre to (B + G) pre, where G is the
+    series sum_{m>=1} spans[k-1]^m/m! {B, A^m}.  The corrections come from
+    one stacked commutator series per FLOW_BLOCK jumps, with the bits of
+    comparison_jump(...).J for each jump alone.
+    """
+    z = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, K, FLOW_BLOCK):
+        for first in range(0, len(spans), FLOW_BLOCK):
             G = commutator_series_stack(
                 system.A, system.B, spans[first:first + FLOW_BLOCK], start=1
             )[0]
             for k, J in enumerate(system.B + G, start=first + 1):
                 states[2 * k - 1] = pre = E @ z
                 states[2 * k] = z = J @ pre
-    times = np.repeat(schedule.theta * np.arange(K + 1), [1] + [2] * K)
-    return _trajectory(times, states, 2 * np.arange(1, K + 1), _vector_norms)
+
+
+def _jump_trajectory(grid: np.ndarray, states: np.ndarray) -> Trajectory:
+    """The checked Trajectory of a vector run from grid[0] whose only events
+    are its jumps at grid[1:], with rows laid out as simulate_ode lays them."""
+    jumps = len(grid) - 1
+    times = np.repeat(grid, [1] + [2] * jumps)
+    return _trajectory(times, states, 2 * np.arange(1, jumps + 1), _vector_norms)
 
 
 def matching_residual(
@@ -297,6 +319,13 @@ def matching_residual(
     The lifted construction predicts x(tau_k+) = e^(s_k A) zhat((k-1) theta+)
     with s_k = chi_k + chi_max ("adt") or s_k = chi_k ("adt_plus"); for
     matrices the identity is exact, so the residual is numerical noise.
+
+    One pass over the jumps, with the bits of simulate_ode, lifted_initial
+    and simulate_comparison composed: the flows over the dwells
+    tau_k - tau_(k-1), the lift's flow, E = e^(theta A) and the flows over
+    the shifts s_k (also the comparison system's series arguments) come
+    from one expm call per FLOW_BLOCK jumps, and both chains are stepped
+    and checked as those simulators step and check them.
     """
     if K < 2:
         raise InputError("K must be >= 2")
@@ -306,21 +335,34 @@ def matching_residual(
             f"needs at least {K + 1}"
         )
     x0 = as_vector(x0, system.n)
-    taus = schedule.taus
-    span = float(taus[K] - schedule.tau0)
-    traj_x = simulate_ode(system, schedule, x0, t_end=float(taus[K]), sample_dt=span)
-    x_posts = traj_x.post_jump_states  # x(tau_k+), k = 1..K
-
-    z0 = lifted_initial(
-        system, x0, schedule.chis[1], schedule.chi_max, schedule.theta, schedule.variant
-    )
-    traj_z = simulate_comparison(system, schedule, z0, K - 1)
-    z_posts = traj_z.post_jump_states  # zhat(k theta+), k = 1..K-1
-
-    lo = _lowest_deviation(schedule.chi_max, schedule.variant)
+    require_valid(schedule)  # also the window check of lifted_initial
+    taus = schedule.taus[:K + 1]
+    if not np.isfinite(taus[K] - schedule.tau0):
+        raise InputError(f"tau_{K} - tau0 must be finite")
+    theta, chi_max, variant = schedule.theta, schedule.chi_max, schedule.variant
+    s_1 = _deviation_span(schedule.chis[1], chi_max, variant)
+    lo = _lowest_deviation(chi_max, variant)
+    dwells = np.diff(taus)
     shifts = np.asarray(schedule.chis[2:K + 1]) - lo  # s_k, k = 2..K
-    predicted = (expm(system.A, shifts) @ z_posts[:, :, None])[:, :, 0]
-    actual = x_posts[1:K]
+    # x0, then the pre-jump and post-jump states at tau_k in rows 2k - 1 and
+    # 2k; zs likewise at k theta, from the lifted state
+    xs, zs = np.empty((2 * K + 1, system.n)), np.empty((2 * K - 1, system.n))
+    predicted = np.empty((K - 1, system.n))  # e^(s_k A) zhat((k-1) theta+)
+    xs[0] = x = x0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, K, FLOW_BLOCK):
+            d, s = dwells[first:first + FLOW_BLOCK], shifts[first:first + FLOW_BLOCK]
+            flows = expm(system.A, np.concatenate((d, [theta + lo, theta], s)))
+            for k, F in enumerate(flows[:len(d)], start=first + 1):
+                xs[2 * k - 1] = pre = F @ x
+                xs[2 * k] = x = system.B @ pre
+            if not first:
+                zs[0] = _lift(system, x0, s_1, flows[len(d)])
+            _comparison_steps(system, flows[len(d) + 1], s, zs[2 * first:])
+            z_posts = zs[2 * np.arange(first + 1, first + len(s) + 1)]
+            predicted[first:first + len(s)] = (flows[len(d) + 2:] @ z_posts[:, :, None])[:, :, 0]
+    actual = _jump_trajectory(taus, xs).post_jump_states[1:]
+    _jump_trajectory(theta * np.arange(K), zs)
     return float(np.max(_vector_norms(actual - predicted) / (1.0 + _vector_norms(actual))))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .commutators import commutator_series
-from .errors import InputError
+from .errors import ConvergenceError, InputError
 from .linalg import as_pair, as_vector, expm
 from .schedules import ADT, VARIANTS, _lowest_deviation, check_window
 
@@ -95,6 +95,15 @@ def lifted_initial(
     check_window(theta, chi_max)
     x0 = as_vector(x0, system.n)
     s = _deviation_span(chi_1, chi_max, variant)
-    flow = theta + _lowest_deviation(chi_max, variant)
+    return _lift(system, x0, s, expm(system.A, theta + _lowest_deviation(chi_max, variant)))
+
+
+def _lift(system: ImpulsiveSystem, x0: np.ndarray, s: float, flow: np.ndarray) -> np.ndarray:
+    """S(s) @ (flow @ x0) with S(s) = sum_m s^m/m! {B, A^m}; a lifted state
+    that leaves float64 raises ConvergenceError, without a RuntimeWarning."""
     S = commutator_series(system.A, system.B, s, start=0)
-    return S @ (expm(system.A, flow) @ x0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z0 = S @ (flow @ x0)
+    if not np.all(np.isfinite(z0)):
+        raise ConvergenceError("lifted initial state overflowed")
+    return z0

@@ -421,6 +421,36 @@ def test_mr_check_running_sum_overflow_exit2(ref_config_path, tmp_path, capsys):
     assert capsys.readouterr().err == "error: commutator series: running sum overflowed\n"
 
 
+def test_mr_check_lifted_state_overflow_exit2(ref_config_path, tmp_path, capsys):
+    # the original run stays finite; its lift is 1.47e308 times e^0.35 past the flow
+    cfg = _patched_config(ref_config_path, tmp_path, {
+        "system.A": [-0.5, 0.0, 0.0, 0.5],
+        "system.B": [0.0, 1e308, 0.0, 0.0],
+        "schedule.chi_max": 0.3,
+        "schedule.count": 6,
+        "schedule.seed": 0,
+        "run.k": 3,
+        "run.x0": [0.0, 1.0],
+    })
+    out = tmp_path / "mr.txt"
+    assert main(["mr-check", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: lifted initial state overflowed\n"
+
+
+def test_omega_running_sum_overflow_exit2(ref_config_path, tmp_path, capsys):
+    # each term (2 chi_max)^m/m! 1e308 is finite, the sum e^1.7 1e308 is not
+    cfg = _patched_config(ref_config_path, tmp_path, {
+        "system.A": [0.5, 0.0, 0.0, -0.5],
+        "system.B": [0.0, 1e308, 1e308, 0.0],
+        "schedule.chi_max": 0.85,
+    })
+    out = tmp_path / "omega.txt"
+    assert main(["omega", "--config", str(cfg), "--output", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == "error: correction bound: running sum overflowed\n"
+
+
 @pytest.mark.parametrize("drop", [(), ("pde",)], ids=["parabolic", "vector"])
 def test_simulate_overflow_exit2(ref_config_path, tmp_path, capsys, drop):
     cfg = _patched_config(ref_config_path, tmp_path, {

@@ -359,6 +359,17 @@ def test_series_running_sum_overflow_raises_convergence_error():
     assert caught == []
 
 
+def test_bound_running_sum_overflow_raises_convergence_error():
+    # every term (2 chi_max)^m/m! 1e308 of the scalar bounds is finite, their sum is not
+    A, B = 0.5 * np.diag([1.0, -1.0]), 1e308 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="^correction bound: running sum overflowed$"):
+            correction_bound(A, B, 0.85)
+        with pytest.raises(ConvergenceError, match="^lift bound: running sum overflowed$"):
+            lift_bound(A, B, 0.9, 0.85)
+
+
 def test_series_stack_validation(ref):
     with pytest.raises(InputError, match="finite"):
         commutator_series_stack(ref.A, ref.B, [0.1, np.nan])

@@ -196,12 +196,12 @@ def test_matching_residual_small_on_seeded_schedules(ref_system, ref):
 
 
 @pytest.mark.parametrize("variant", [st.ADT, st.ADT_PLUS])
-@pytest.mark.parametrize("n", [2, 4, 8])
-def test_matching_residual_is_bitwise_the_per_jump_loop(n, variant):
+# K = 300 crosses FLOW_BLOCK for the flows and the series; at n = 2 its states stay below 1e48
+@pytest.mark.parametrize("n, K", [(2, 12), (4, 12), (8, 12), (2, 300)], ids=["2", "4", "8", "2-K300"])
+def test_matching_residual_is_bitwise_the_per_jump_loop(n, K, variant):
     rng = np.random.default_rng(60 + n)
     A, B = rng.uniform(-1.0, 1.0, (2, n, n))
     system = st.ImpulsiveSystem(A=A, B=B)
-    K = 12
     sched = st.generate_schedule(0.0, 1.0, 0.3, K + 2, variant, seed=n)
     x0 = rng.standard_normal(n)
     t_end = float(sched.taus[K])
@@ -217,12 +217,42 @@ def test_matching_residual_is_bitwise_the_per_jump_loop(n, variant):
     assert st.matching_residual(system, sched, x0, K).hex() == worst.hex()
 
 
+@pytest.mark.parametrize(
+    "K, calls", [(2, 1), (FLOW_BLOCK, 1), (FLOW_BLOCK + 1, 2), (2 * FLOW_BLOCK + 1, 3)]
+)
+def test_matching_residual_takes_its_flows_from_one_expm_call_per_flow_block(
+    ref_system, ref, record_calls, K, calls
+):
+    sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, K + 1, st.ADT, seed=K)
+    log = record_calls(expm)
+    assert st.matching_residual(ref_system, sched, [0.6, -0.8], K) <= 1e-8
+    assert len(log) == calls
+
+
+def test_lifted_state_overflow_raises_convergence_error():
+    # the original run stays finite; its lift is 1.47e308 times e^0.35 past the flow
+    system = st.ImpulsiveSystem(A=np.diag([-0.5, 0.5]), B=np.array([[0.0, 1e308], [0.0, 0.0]]))
+    sched = st.generate_schedule(0.0, 1.0, 0.3, 6, st.ADT, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(st.ConvergenceError, match="^lifted initial state overflowed$"):
+            st.lifted_initial(system, [0.0, 1.0], sched.chis[1], 0.3, 1.0)
+        with pytest.raises(st.ConvergenceError, match="^lifted initial state overflowed$"):
+            st.matching_residual(system, sched, [0.0, 1.0], 3)
+
+
 def test_matching_residual_validation(ref_system, ref):
     sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, 12, st.ADT, seed=0)
     with pytest.raises(st.InputError):
         st.matching_residual(ref_system, sched, [1.0, 0.0], K=1)
     with pytest.raises(st.InputError):
         st.matching_residual(ref_system, sched, [1.0, 0.0], K=12)
+    # tau_2 = 2e308 leaves float64, and ImpulseSchedule.taus warns as it forms it
+    sched = st.generate_schedule(0.0, 1e308, 0.0, 3, st.ADT, seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(st.InputError, match="^tau_2 - tau0 must be finite$"):
+            st.matching_residual(ref_system, sched, [1.0, 0.0], K=2)
 
 
 def test_parabolic_single_mode_reduces_to_shifted_flow(ref):
