@@ -21,11 +21,12 @@ The walk is remembered per system: the terms {B, A^m} and their norms depend
 on A and B alone, so each is formed once per (A, B) in a 16-slot memo
 (_system) and read by every later walk, whatever its s.
 
-Matrix series are summed for a whole stack of arguments s_1..s_k from one
-walk (commutator_series_stack); each s_i stops by its own count of quiet
-terms, so its sum has the bits a series for s_i alone would have.  A sum's
-2-norm is taken only where its Frobenius norm leaves the quiet test open.
-commutator_series is a stack of one.
+Every matrix series is S(s) itself, summed from order 0 (the comparison
+jump at a shift s_k is S(s_k)), for a whole stack of arguments s_1..s_k
+from one walk (commutator_series_stack); each s_i stops by its own count of
+quiet terms, so its sum has the bits a series for s_i alone would have.  A
+sum's 2-norm is taken only where its Frobenius norm leaves the quiet test
+open.  commutator_series is a stack of one.
 """
 
 from __future__ import annotations
@@ -116,7 +117,7 @@ def _system(a: bytes, b: bytes, shape) -> _System:
     bits and this shape, so an in-place edit of A never reads a stale term.
 
     A and B are read-only views of the key's own bytes.  A slot stores the
-    chunks that start at order TERM_CAP or below, at most
+    chunks that begin at order TERM_CAP or below, at most
     TERM_CAP // NORM_CHUNK + 1 = 26 chunks of NORM_CHUNK n-by-n terms:
     106 KB at n = 8, so 16 slots hold under 2 MB.
     """
@@ -228,11 +229,11 @@ def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
     return CommutatorSequence(A=A, B=B, terms=tuple(terms), norms=tuple(norms))
 
 
-def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Truncated sums of s_i^m/m! * {B, A^m} over m >= start for a 1-D stack s.
+def commutator_series_stack(A, B, s) -> tuple[np.ndarray, np.ndarray]:
+    """Truncated sums S(s_i) = sum_{m>=0} s_i^m/m! * {B, A^m} for a 1-D stack s.
 
     One walk of {B, A^m} serves the whole stack.  Each s_i keeps its own
-    running sum, started from its first term, and its own count of quiet
+    running sum, whose first term is B, and its own count of quiet
     terms (|s_i^m/m!| ||{B, A^m}|| at most REL_TOL times the 2-norm of its
     sum), and retires when the count reaches _QUIET_NEEDED.  The Frobenius
     norm of a sum settles most tests with the 2-norm's answer; the rest take
@@ -245,8 +246,6 @@ def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.nda
         raise InputError("series arguments must form a 1-D stack")
     if not np.all(np.isfinite(s)):
         raise InputError("series argument must be finite")
-    if start not in (0, 1):
-        raise InputError("start must be 0 or 1")
     sums = np.empty((s.size,) + B.shape)
     used = np.zeros(s.size, dtype=int)
     live = np.arange(s.size)  # index of each s still summing
@@ -255,7 +254,7 @@ def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.nda
     delta = _BRACKET_DELTA * max(1.0, B.size / 64)
     low, high = REL_TOL * (1.0 - delta) / np.sqrt(B.shape[0]), REL_TOL * (1.0 + delta)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, coeff, T, (norm,) in islice(_walk(A, B, s), start, TERM_CAP + 1):
+        for m, coeff, T, (norm,) in islice(_walk(A, B, s), TERM_CAP + 1):
             coeff = coeff[live]
             magnitude = np.abs(coeff) * norm
             if not np.all(np.isfinite(magnitude)):
@@ -275,7 +274,7 @@ def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.nda
             done = quiet >= _QUIET_NEEDED
             if done.any():
                 sums[live[done]] = total[done]
-                used[live[done]] = m + 1 - start
+                used[live[done]] = m + 1
                 keep = ~done
                 live, quiet = live[keep], quiet[keep]
                 total, magnitude = total[keep], magnitude[keep]
@@ -287,16 +286,16 @@ def commutator_series_stack(A, B, s, start: int = 0) -> tuple[np.ndarray, np.nda
     )
 
 
-def commutator_series(A, B, s: float, start: int = 0) -> np.ndarray:
-    """Truncated sum of s^m/m! * {B, A^m} over m >= start."""
-    return commutator_series_stack(A, B, [s], start)[0][0]
+def commutator_series(A, B, s: float) -> np.ndarray:
+    """Truncated sum S(s) = sum_{m>=0} s^m/m! * {B, A^m}."""
+    return commutator_series_stack(A, B, [s])[0][0]
 
 
 def hadamard_series(A, B, t: float) -> np.ndarray:
     """Truncated operator S(t) satisfying B e^(tA) = e^(tA) S(t)."""
     if not np.isfinite(t) or t < 0.0:
         raise InputError("t must be finite and >= 0")
-    return commutator_series(A, B, t, start=0)
+    return commutator_series(A, B, t)
 
 
 def _correction(A, B, chi_max: float) -> tuple[list[SeriesTerm], float]:

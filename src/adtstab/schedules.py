@@ -55,7 +55,8 @@ class ImpulseSchedule:
     @property
     def taus(self) -> np.ndarray:
         k = np.arange(len(self.chis), dtype=float)
-        return self.tau0 + k * self.theta + np.asarray(self.chis, dtype=float)
+        with np.errstate(over="ignore"):  # an instant past float64 is inf, which validate names
+            return self.tau0 + k * self.theta + np.asarray(self.chis, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -162,16 +163,20 @@ def validate(schedule: ImpulseSchedule) -> ValidationReport:
     k = int(np.argmax(excess))
     # with every deviation in its window, consecutive gaps
     # theta + chi_k - chi_(k-1) are also at most theta + 2 chi_max
+    taus = schedule.taus
     with np.errstate(invalid="ignore"):  # inf - inf from rejected deviations
-        gaps = np.diff(schedule.taus)
+        gaps = np.diff(taus)
     g = int(np.argmin(gaps)) if len(gaps) else 0  # the first NaN, if any: NaN <= 0 is false
+    past = np.flatnonzero(~np.isfinite(taus) & np.isfinite(chis))  # overflowed: inf - 1e308 > 0
+    j = int(past[0]) if past.size else g + 1
     return ValidationReport((
         _check("parameters", False),
         _check("initial_deviation", chis[0] != 0.0, 0, lambda: f"chi_0 = {chis[0]:.6g}, expected 0"),
         _check("deviation_bound", excess[k] > 0.0, k,
                lambda: f"chi_{k} = {chis[k]:.6g} outside [{lo:.6g}, {hi:.6g}]"),
-        _check("strictly_increasing", len(gaps) and gaps[g] <= 0.0, g + 1,
-               lambda: f"tau_{g + 1} - tau_{g} = {gaps[g]:.6g} <= 0"),
+        _check("strictly_increasing", past.size or (len(gaps) and gaps[g] <= 0.0), j,
+               lambda: f"tau_{j} = {taus[j]:g} is not finite" if past.size
+               else f"tau_{g + 1} - tau_{g} = {gaps[g]:.6g} <= 0"),
     ))
 
 

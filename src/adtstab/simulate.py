@@ -12,8 +12,8 @@ dwell-normalized comparison system on the uniform grid, and a parabolic
 model whose sine modes evolve independently under shifted generators.
 matching_residual checks the comparison construction on a run in one pass
 over its jumps: it steps the original and the comparison system side by
-side, with the bits of the simulators, and takes every flow it needs from
-one expm call per FLOW_BLOCK jumps.
+side, with the bits of the simulators, and takes every flow and series sum
+it needs from one expm call and one series stack per FLOW_BLOCK jumps.
 """
 
 from __future__ import annotations
@@ -212,17 +212,17 @@ def _run_events(x0, schedule, t_end, sample_dt, A, evolve, jump, norms_of) -> Tr
     states = np.empty((len(ts) + 1 + int(is_jump.sum()), *x0.shape))
     states[0] = x = x0
     ends = np.union1d(np.flatnonzero(is_jump) + 1, np.r_[FLOW_BLOCK:len(ts):FLOW_BLOCK, len(ts)])
-    start = 0
+    begin = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for stop in ends.tolist():
-            at = start % FLOW_BLOCK
+            at = begin % FLOW_BLOCK
             if at == 0:
-                flows = expm(A, dts[start:start + FLOW_BLOCK])
-            row, count = rows[start], stop - start
-            evolve(x, dts[start:stop], flows[at:at + count], states[row:row + count])
+                flows = expm(A, dts[begin:begin + FLOW_BLOCK])
+            row, count = rows[begin], stop - begin
+            evolve(x, dts[begin:stop], flows[at:at + count], states[row:row + count])
             if is_jump[stop - 1]:
                 states[row + count] = x = jump(states[row + count - 1])
-            start = stop
+            begin = stop
     times = np.repeat(np.concatenate(([float(tau0)], ts)), np.concatenate(([1], 1 + is_jump)))
     return _trajectory(times, states, rows[is_jump] + 1, norms_of)
 
@@ -257,9 +257,9 @@ def simulate_comparison(
     """Evolve the comparison system on the uniform grid for K periods.
 
     The jump at k*theta uses the upcoming deviation chi_{k+1}, so the
-    schedule must carry deviations up to index K + 1.  Its corrections come
-    from one stacked commutator series per FLOW_BLOCK jumps, with the bits
-    of comparison_jump(...).G for each jump alone.
+    schedule must carry deviations up to index K + 1.  Its jumps come from
+    one stacked commutator series per FLOW_BLOCK jumps, with the bits of
+    comparison_jump(...).J for each jump alone.
     """
     require_valid(schedule)
     if K < 1:
@@ -275,28 +275,21 @@ def simulate_comparison(
     spans = np.asarray(schedule.chis[2:K + 2]) - lo  # chi_(k+1) - lo, each in its window
     states = np.empty((2 * K + 1, system.n))
     states[0] = z0
-    _comparison_steps(system, expm(system.A, schedule.theta), spans, states)
+    E = expm(system.A, schedule.theta)
+    for first in range(0, K, FLOW_BLOCK):
+        J = commutator_series_stack(system.A, system.B, spans[first:first + FLOW_BLOCK])[0]
+        _comparison_steps(E, J, states[2 * first:])
     return _jump_trajectory(schedule.theta * np.arange(K + 1), states)
 
 
-def _comparison_steps(system: ImpulsiveSystem, E: np.ndarray, spans, states: np.ndarray) -> None:
-    """Step the comparison system from states[0] across one jump per span:
-    rows 2k - 1 and 2k get the pre-jump and post-jump states of jump k.
-
-    E is e^(theta A), and jump k maps pre to (B + G) pre, where G is the
-    series sum_{m>=1} spans[k-1]^m/m! {B, A^m}.  The corrections come from
-    one stacked commutator series per FLOW_BLOCK jumps, with the bits of
-    comparison_jump(...).J for each jump alone.
-    """
+def _comparison_steps(E: np.ndarray, J: np.ndarray, states: np.ndarray) -> None:
+    """Step the comparison system from states[0] across the jumps S(s_k) stacked in J:
+    rows 2k - 1 and 2k get pre = E @ z, with E = e^(theta A), and J[k-1] @ pre."""
     z = states[0]
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, len(spans), FLOW_BLOCK):
-            G = commutator_series_stack(
-                system.A, system.B, spans[first:first + FLOW_BLOCK], start=1
-            )[0]
-            for k, J in enumerate(system.B + G, start=first + 1):
-                states[2 * k - 1] = pre = E @ z
-                states[2 * k] = z = J @ pre
+        for k, S in enumerate(J, 1):
+            states[2 * k - 1] = pre = E @ z
+            states[2 * k] = z = S @ pre
 
 
 def _jump_trajectory(grid: np.ndarray, states: np.ndarray) -> Trajectory:
@@ -321,11 +314,11 @@ def matching_residual(
     matrices the identity is exact, so the residual is numerical noise.
 
     One pass over the jumps, with the bits of simulate_ode, lifted_initial
-    and simulate_comparison composed: the flows over the dwells
-    tau_k - tau_(k-1), the lift's flow, E = e^(theta A) and the flows over
-    the shifts s_k (also the comparison system's series arguments) come
-    from one expm call per FLOW_BLOCK jumps, and both chains are stepped
-    and checked as those simulators step and check them.
+    and simulate_comparison composed.  Per FLOW_BLOCK jumps one expm call
+    gives the flows over the dwells tau_k - tau_(k-1), the lift's flow,
+    E = e^(theta A) and the flows over the shifts s_k, and one series stack
+    gives the jumps S(s_k), led by the lift's S(s_1) in the first block;
+    both chains are checked as those simulators check them.
     """
     if K < 2:
         raise InputError("K must be >= 2")
@@ -337,33 +330,37 @@ def matching_residual(
     x0 = as_vector(x0, system.n)
     require_valid(schedule)  # also the window check of lifted_initial
     taus = schedule.taus[:K + 1]
-    if not np.isfinite(taus[K] - schedule.tau0):
-        raise InputError(f"tau_{K} - tau0 must be finite")
-    theta, chi_max, variant = schedule.theta, schedule.chi_max, schedule.variant
-    s_1 = _deviation_span(schedule.chis[1], chi_max, variant)
-    lo = _lowest_deviation(chi_max, variant)
-    dwells = np.diff(taus)
-    shifts = np.asarray(schedule.chis[2:K + 1]) - lo  # s_k, k = 2..K
-    # x0, then the pre-jump and post-jump states at tau_k in rows 2k - 1 and
-    # 2k; zs likewise at k theta, from the lifted state
-    xs, zs = np.empty((2 * K + 1, system.n)), np.empty((2 * K - 1, system.n))
-    predicted = np.empty((K - 1, system.n))  # e^(s_k A) zhat((k-1) theta+)
-    xs[0] = x = x0
     with np.errstate(over="ignore", invalid="ignore"):
+        if not np.isfinite(taus[K] - schedule.tau0):
+            raise InputError(f"tau_{K} - tau0 must be finite")
+        theta, chi_max, variant = schedule.theta, schedule.chi_max, schedule.variant
+        s_1 = _deviation_span(schedule.chis[1], chi_max, variant)
+        lo = _lowest_deviation(chi_max, variant)
+        dwells = np.diff(taus)
+        shifts = np.asarray(schedule.chis[2:K + 1]) - lo  # s_k, k = 2..K
+        # x0, then the pre-jump and post-jump states at tau_k in rows 2k - 1 and
+        # 2k; zs likewise at k theta, from the lifted state
+        xs, zs = np.empty((2 * K + 1, system.n)), np.empty((2 * K - 1, system.n))
+        predicted = np.empty((K - 1, system.n))  # e^(s_k A) zhat((k-1) theta+)
+        xs[0] = x = x0
         for first in range(0, K, FLOW_BLOCK):
             d, s = dwells[first:first + FLOW_BLOCK], shifts[first:first + FLOW_BLOCK]
             flows = expm(system.A, np.concatenate((d, [theta + lo, theta], s)))
-            for k, F in enumerate(flows[:len(d)], start=first + 1):
+            for k, F in enumerate(flows[:len(d)], first + 1):
                 xs[2 * k - 1] = pre = F @ x
                 xs[2 * k] = x = system.B @ pre
+            # the lift's S(s_1) leads the first block's stack
+            J = commutator_series_stack(system.A, system.B, np.r_[s_1, s] if not first else s)[0]
             if not first:
-                zs[0] = _lift(system, x0, s_1, flows[len(d)])
-            _comparison_steps(system, flows[len(d) + 1], s, zs[2 * first:])
+                zs[0] = _lift(J[0], flows[len(d)], x0)
+                J = J[1:]
+            _comparison_steps(flows[len(d) + 1], J, zs[2 * first:])
             z_posts = zs[2 * np.arange(first + 1, first + len(s) + 1)]
             predicted[first:first + len(s)] = (flows[len(d) + 2:] @ z_posts[:, :, None])[:, :, 0]
-    actual = _jump_trajectory(taus, xs).post_jump_states[1:]
+    actual = _jump_trajectory(taus, xs)
     _jump_trajectory(theta * np.arange(K), zs)
-    return float(np.max(_vector_norms(actual - predicted) / (1.0 + _vector_norms(actual))))
+    gaps = _rescaled(actual.post_jump_states[1:] - predicted, _vector_norms)
+    return float(np.max(gaps / (1.0 + actual.post_jump_norms[1:])))
 
 
 def simulate_parabolic(

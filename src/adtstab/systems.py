@@ -2,8 +2,8 @@
 
 The original dynamics flow with generator A and jump with B at schedule
 instants tau_k.  The comparison form trades the jittered instants for the
-uniform grid k*theta by augmenting each jump with a commutator series
-correction, and lifts the initial state accordingly.
+uniform grid k*theta: by B e^(sA) = e^(sA) S(s) the comparison jump at a
+shift s is S(s) itself, and the lifted initial state is S(s_1) after a flow.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ class ImpulsiveSystem:
 
 @dataclass(frozen=True)
 class ComparisonJump:
-    """Jump operator J = B + G of the comparison system at one grid instant."""
+    """Comparison jump J = S(s) at one grid instant and its correction G = J - B."""
 
     J: np.ndarray
     G: np.ndarray
@@ -71,11 +71,10 @@ def comparison_jump(
     chi_max: float,
     variant: str = ADT,
 ) -> ComparisonJump:
-    """Comparison jump J = B + sum_{m>=1} s^m/m! {B, A^m} with s set by the
+    """Comparison jump J = S(s) = sum_{m>=0} s^m/m! {B, A^m} with s set by the
     variant (s = chi_max + chi_next for "adt", s = chi_next for "adt_plus")."""
-    s = _deviation_span(chi_next, chi_max, variant)
-    G = commutator_series(system.A, system.B, s, start=1)
-    return ComparisonJump(J=system.B + G, G=G, variant=variant)
+    J = commutator_series(system.A, system.B, _deviation_span(chi_next, chi_max, variant))
+    return ComparisonJump(J=J, G=J - system.B, variant=variant)
 
 
 def lifted_initial(
@@ -94,14 +93,13 @@ def lifted_initial(
     """
     check_window(theta, chi_max)
     x0 = as_vector(x0, system.n)
-    s = _deviation_span(chi_1, chi_max, variant)
-    return _lift(system, x0, s, expm(system.A, theta + _lowest_deviation(chi_max, variant)))
+    S = commutator_series(system.A, system.B, _deviation_span(chi_1, chi_max, variant))
+    return _lift(S, expm(system.A, theta + _lowest_deviation(chi_max, variant)), x0)
 
 
-def _lift(system: ImpulsiveSystem, x0: np.ndarray, s: float, flow: np.ndarray) -> np.ndarray:
-    """S(s) @ (flow @ x0) with S(s) = sum_m s^m/m! {B, A^m}; a lifted state
-    that leaves float64 raises ConvergenceError, without a RuntimeWarning."""
-    S = commutator_series(system.A, system.B, s, start=0)
+def _lift(S: np.ndarray, flow: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """S @ (flow @ x0) for the summed S = S(s_1); a lifted state that leaves
+    float64 raises ConvergenceError, without a RuntimeWarning."""
     with np.errstate(over="ignore", invalid="ignore"):
         z0 = S @ (flow @ x0)
     if not np.all(np.isfinite(z0)):

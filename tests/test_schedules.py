@@ -117,6 +117,16 @@ def test_validate_flags_gap():
     assert failing["deviation_bound"].worst_index == 2
 
 
+def test_validate_names_an_instant_past_float64():
+    # 2 * 1e308 overflows, and inf - 1e308 > 0 would pass as a gap
+    s = st.generate_schedule(0.0, 1e308, 0.0, 3)
+    assert s.taus.tolist() == [0.0, 1e308, np.inf]
+    failing = {c.name: c for c in st.validate_schedule(s).failures()}
+    assert set(failing) == {"strictly_increasing"}
+    assert failing["strictly_increasing"].worst_index == 2
+    assert failing["strictly_increasing"].detail == "tau_2 = inf is not finite"
+
+
 def test_validate_rejects_non_finite_deviation(ref_system):
     doc = '{"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "chis": [0.0, NaN, 0.05]}'
     for s in (

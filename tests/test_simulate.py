@@ -229,6 +229,30 @@ def test_matching_residual_takes_its_flows_from_one_expm_call_per_flow_block(
     assert len(log) == calls
 
 
+@pytest.mark.parametrize(
+    "K, calls", [(2, 1), (FLOW_BLOCK, 1), (FLOW_BLOCK + 1, 2), (2 * FLOW_BLOCK + 1, 3)]
+)
+def test_matching_residual_sums_one_series_stack_per_flow_block(
+    ref_system, ref, record_calls, K, calls
+):
+    # the lift's S(s_1) rides in the first block's stack
+    sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, K + 1, st.ADT, seed=K)
+    log = record_calls(st.commutator_series_stack)
+    assert st.matching_residual(ref_system, sched, [0.6, -0.8], K) <= 1e-8
+    assert len(log) == calls
+
+
+@pytest.mark.parametrize("variant", [st.ADT, st.ADT_PLUS])
+def test_matching_residual_of_states_whose_squared_norms_overflow(variant):
+    # the bitwise test's n = 8 system at K = 300: its post-jump states reach
+    # 1e249, finite, but their squared norms leave float64
+    rng = np.random.default_rng(68)
+    A, B = rng.uniform(-1.0, 1.0, (2, 8, 8))
+    sched = st.generate_schedule(0.0, 1.0, 0.3, 302, variant, seed=8)
+    x0 = rng.standard_normal(8)
+    assert st.matching_residual(st.ImpulsiveSystem(A=A, B=B), sched, x0, 300) <= 1e-8
+
+
 def test_lifted_state_overflow_raises_convergence_error():
     # the original run stays finite; its lift is 1.47e308 times e^0.35 past the flow
     system = st.ImpulsiveSystem(A=np.diag([-0.5, 0.5]), B=np.array([[0.0, 1e308], [0.0, 0.0]]))
@@ -247,12 +271,14 @@ def test_matching_residual_validation(ref_system, ref):
         st.matching_residual(ref_system, sched, [1.0, 0.0], K=1)
     with pytest.raises(st.InputError):
         st.matching_residual(ref_system, sched, [1.0, 0.0], K=12)
-    # tau_2 = 2e308 leaves float64, and ImpulseSchedule.taus warns as it forms it
+    # every instant is finite, but tau_2 - tau0 = 2.3e308 is not
+    sched = st.ImpulseSchedule(-1e308, 0.8e308, 0.7e308, st.ADT, (0.0, 0.0, 0.7e308))
+    with pytest.raises(st.InputError, match="^tau_2 - tau0 must be finite$"):
+        st.matching_residual(ref_system, sched, [1.0, 0.0], K=2)
+    # tau_2 = 2e308 leaves float64: the schedule check names it
     sched = st.generate_schedule(0.0, 1e308, 0.0, 3, st.ADT, seed=0)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(st.InputError, match="^tau_2 - tau0 must be finite$"):
-            st.matching_residual(ref_system, sched, [1.0, 0.0], K=2)
+    with pytest.raises(st.InputError, match=r"^invalid schedule \(strictly_increasing\): tau_2 = inf"):
+        st.matching_residual(ref_system, sched, [1.0, 0.0], K=2)
 
 
 def test_parabolic_single_mode_reduces_to_shifted_flow(ref):
