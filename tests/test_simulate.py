@@ -224,22 +224,11 @@ def test_matching_residual_takes_its_flows_from_one_expm_call_per_flow_block(
     ref_system, ref, record_calls, K, calls
 ):
     sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, K + 1, st.ADT, seed=K)
-    log = record_calls(expm)
+    log, series_log = record_calls(expm), record_calls(st.commutator_series_stack)
     assert st.matching_residual(ref_system, sched, [0.6, -0.8], K) <= 1e-8
     assert len(log) == calls
-
-
-@pytest.mark.parametrize(
-    "K, calls", [(2, 1), (FLOW_BLOCK, 1), (FLOW_BLOCK + 1, 2), (2 * FLOW_BLOCK + 1, 3)]
-)
-def test_matching_residual_sums_one_series_stack_per_flow_block(
-    ref_system, ref, record_calls, K, calls
-):
-    # the lift's S(s_1) rides in the first block's stack
-    sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, K + 1, st.ADT, seed=K)
-    log = record_calls(st.commutator_series_stack)
-    assert st.matching_residual(ref_system, sched, [0.6, -0.8], K) <= 1e-8
-    assert len(log) == calls
+    # and its series sums from one stack per block, the lift's S(s_1) first in the first
+    assert len(series_log) == calls
 
 
 @pytest.mark.parametrize("variant", [st.ADT, st.ADT_PLUS])
