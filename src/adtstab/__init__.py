@@ -25,7 +25,7 @@ from .commutators import (
     lift_bound,
     nested_commutators,
 )
-from .errors import ConvergenceError, GenerationError, InputError
+from .errors import ConvergenceError, InputError
 from .linalg import (
     check_spd,
     expm,
@@ -69,7 +69,6 @@ __all__ = [
     "CommutatorSequence",
     "ComparisonJump",
     "ConvergenceError",
-    "GenerationError",
     "ImpulseSchedule",
     "ImpulsiveSystem",
     "InputError",

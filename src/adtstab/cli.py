@@ -20,7 +20,7 @@ import numpy as np
 
 from .certify import CertificateProblem
 from .commutators import REL_TOL, _correction, nested_commutators
-from .errors import ConvergenceError, GenerationError, InputError
+from .errors import ConvergenceError, InputError
 from .schedules import (
     ImpulseSchedule, _number, generate, require_valid, schedule_from_doc, schedule_to_doc
 )
@@ -291,7 +291,7 @@ def main(argv=None) -> int:
                 print(summary)
         else:
             sys.stdout.write(text)
-    except (InputError, GenerationError, ConvergenceError, OSError) as exc:
+    except (InputError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:  # exit 1 is the honest negative, never a failed run

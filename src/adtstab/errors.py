@@ -9,7 +9,3 @@ class ConvergenceError(RuntimeError):
     """A truncated operator series failed to settle within its term cap, or a
     series term, matrix exponential, monodromy, diffusive rate, jump
     inequality or simulated trajectory overflowed."""
-
-
-class GenerationError(RuntimeError):
-    """Schedule generation ran out of retries."""

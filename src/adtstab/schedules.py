@@ -11,17 +11,16 @@ with chi_0 = 0, strictly increasing instants, and chi_max < theta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GenerationError, InputError
+from .errors import InputError
 
 ADT = "adt"
 ADT_PLUS = "adt_plus"
 VARIANTS = (ADT, ADT_PLUS)
-
-MAX_RETRIES = 64
 
 __all__ = [
     "ADT",
@@ -111,9 +110,13 @@ def generate(
 ) -> ImpulseSchedule:
     """Draw a seeded admissible schedule with count instants.
 
-    Deviations are uniform on the variant's window with chi_0 = 0.  A draw
-    that would break strict increase of the instants is redrawn; generation
-    fails after MAX_RETRIES consecutive rejected draws.
+    Deviations are uniform on the variant's window with chi_0 = 0, given
+    strict increase of the instants: each chi_k is one draw, uniform on the
+    part of its window above chi_(k-1) - theta, which is the law of
+    redrawing on the whole window until tau_k > tau_(k-1).  That part is
+    the whole window for every "adt_plus" schedule and for "adt" with
+    theta > 2 chi_max, so there each draw is rng.uniform(lo, chi_max) and
+    the schedule has the bits of such a rejection sampler.
     """
     _check_params(tau0, theta, chi_max, variant)
     if count < 1:
@@ -121,16 +124,9 @@ def generate(
     rng = np.random.default_rng(seed)
     lo = _lowest_deviation(chi_max, variant)
     chis = [0.0]
-    for _k in range(1, int(count)):
-        for _attempt in range(MAX_RETRIES):
-            chi = float(rng.uniform(lo, chi_max))
-            if chi > chis[-1] - theta:  # tau_k > tau_{k-1}
-                chis.append(chi)
-                break
-        else:
-            raise GenerationError(
-                f"no admissible deviation after {MAX_RETRIES} retries at index {_k}"
-            )
+    for _ in range(1, int(count)):
+        low = max(lo, math.nextafter(chis[-1] - theta, math.inf))  # tau_k > tau_(k-1)
+        chis.append(float(rng.uniform(low, chi_max)))
     return ImpulseSchedule(
         tau0=float(tau0),
         theta=float(theta),
