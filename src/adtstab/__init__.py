@@ -21,7 +21,6 @@ from .commutators import (
     commutator_series_stack,
     correction_bound,
     correction_terms,
-    hadamard_series,
     lift_bound,
     nested_commutators,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "evaluate_certificate",
     "expm",
     "generate_schedule",
-    "hadamard_series",
     "inequality_lhs",
     "is_hurwitz",
     "is_schur",

@@ -60,7 +60,6 @@ __all__ = [
     "nested_commutators",
     "commutator_series",
     "commutator_series_stack",
-    "hadamard_series",
     "correction_terms",
     "correction_bound",
     "lift_bound",
@@ -289,13 +288,6 @@ def commutator_series_stack(A, B, s) -> tuple[np.ndarray, np.ndarray]:
 def commutator_series(A, B, s: float) -> np.ndarray:
     """Truncated sum S(s) = sum_{m>=0} s^m/m! * {B, A^m}."""
     return commutator_series_stack(A, B, [s])[0][0]
-
-
-def hadamard_series(A, B, t: float) -> np.ndarray:
-    """Truncated operator S(t) satisfying B e^(tA) = e^(tA) S(t)."""
-    if not np.isfinite(t) or t < 0.0:
-        raise InputError("t must be finite and >= 0")
-    return commutator_series(A, B, t)
 
 
 def _correction(A, B, chi_max: float) -> tuple[list[SeriesTerm], float]:

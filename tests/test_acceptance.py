@@ -89,7 +89,7 @@ def test_criterion_3_flow_exchange_identity():
         B = rng.uniform(-1.0, 1.0, (n, n))
         t = float(rng.uniform(0.0, 2.0))
         E = st.expm(A, t)
-        S = st.hadamard_series(A, B, t)
+        S = st.commutator_series(A, B, t)
         resid = st.spectral_norm(B @ E - E @ S) / (1.0 + st.spectral_norm(B @ E))
         worst = max(worst, resid)
     elapsed = time.perf_counter() - t0

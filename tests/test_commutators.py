@@ -23,7 +23,6 @@ from adtstab.commutators import (
     commutator_series_stack,
     correction_bound,
     correction_terms,
-    hadamard_series,
     lift_bound,
     _system,
     nested_commutators,
@@ -116,13 +115,13 @@ def test_flow_exchange_identity_random():
         B = rng.uniform(-1, 1, (n, n))
         t = float(rng.uniform(0, 2))
         E = expm(A, t)
-        S = hadamard_series(A, B, t)
+        S = commutator_series(A, B, t)
         resid = spectral_norm(B @ E - E @ S)
         assert resid <= 1e-9 * (1 + spectral_norm(B @ E))
 
 
 def test_flow_exchange_at_zero_time(ref):
-    assert np.allclose(hadamard_series(ref.A, ref.B, 0.0), ref.B, atol=1e-15)
+    assert np.allclose(commutator_series(ref.A, ref.B, 0.0), ref.B, atol=1e-15)
 
 
 def test_flow_exchange_nilpotent_closed_form():
@@ -131,12 +130,13 @@ def test_flow_exchange_nilpotent_closed_form():
     B = np.diag([1.0, -1.0])
     t = 1.7
     closed = B + t * 2.0 * A
-    assert np.allclose(hadamard_series(A, B, t), closed, atol=1e-12)
+    assert np.allclose(commutator_series(A, B, t), closed, atol=1e-12)
 
 
 def test_series_argument_validation(ref):
-    with pytest.raises(InputError):
-        hadamard_series(ref.A, ref.B, -0.5)
+    for s in (np.nan, np.inf, -np.inf):
+        with pytest.raises(InputError, match="finite"):
+            commutator_series(ref.A, ref.B, s)
 
 
 @pytest.mark.parametrize("m_max", [np.iinfo(np.intp).max, 10**30], ids=["intp_max", "1e30"])
@@ -156,7 +156,7 @@ def test_series_term_cap_raises():
     # norms grow like 2^m t^m / m! and only settle far beyond the cap
     A = np.diag([1.0, -1.0])
     with pytest.raises(ConvergenceError):
-        hadamard_series(A, SWAP, 200.0)
+        commutator_series(A, SWAP, 200.0)
     # at s = 84 order m adds 168^m/m!: the terms peak near m = 168, and the
     # last order read, TERM_CAP = 200, still adds 1.462e70
     message = r"no convergence within 200 terms \(last term magnitude 1\.462e\+70\)$"
@@ -255,7 +255,7 @@ def test_series_overflow_raises_convergence_error(ref):
     with pytest.raises(ConvergenceError, match="lift bound: series term overflowed"):
         lift_bound(STIFF_A, ref.B, 1.0, 0.9)
     with pytest.raises(ConvergenceError, match="commutator series: series term overflowed"):
-        hadamard_series(STIFF_A, ref.B, 1.8)
+        commutator_series(STIFF_A, ref.B, 1.8)
 
 
 def _reference_series(A, B, s):
@@ -338,7 +338,6 @@ def test_series_running_sum_overflow_raises_convergence_error():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         for run in (
-            lambda: hadamard_series(A, B, 1.0),
             lambda: commutator_series(A, B, 1.5),
             lambda: commutator_series_stack(A, B, [0.1, 1.5, -0.2]),
         ):

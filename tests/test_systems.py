@@ -140,7 +140,7 @@ def test_hadamard_series_matches_closed_form(ref):
     cases = [(ref.A, ref.B, t) for t in (0.0, 0.1, 0.37, 1.0)]
     cases += [(A, B, float(rng.uniform(0.0, 2.0))) for A, B, rng in _random_pairs(41)]
     for A, B, t in cases:
-        S = st.hadamard_series(A, B, t)
+        S = st.commutator_series(A, B, t)
         assert np.allclose(S, _hadamard_oracle(A, B, t), rtol=1e-12, atol=1e-15)
 
 
