@@ -317,8 +317,9 @@ def matching_residual(
     and simulate_comparison composed.  Per FLOW_BLOCK jumps one expm call
     gives the flows over the dwells tau_k - tau_(k-1), the lift's flow,
     E = e^(theta A) and the flows over the shifts s_k, and one series stack
-    gives the jumps S(s_k), led by the lift's S(s_1) in the first block;
-    both chains are checked as those simulators check them.
+    gives the jumps S(s_k), led by the lift's S(s_1) in the first block (a
+    last block with a dwell and no shift, at K = 1 mod FLOW_BLOCK, needs
+    none); both chains are checked as those simulators check them.
     """
     if K < 2:
         raise InputError("K must be >= 2")
@@ -349,6 +350,8 @@ def matching_residual(
             for k, F in enumerate(flows[:len(d)], first + 1):
                 xs[2 * k - 1] = pre = F @ x
                 xs[2 * k] = x = system.B @ pre
+            if not len(s):  # K = 1 (mod FLOW_BLOCK): the last block has a dwell and no shift
+                break
             # the lift's S(s_1) leads the first block's stack
             J = commutator_series_stack(system.A, system.B, np.r_[s_1, s] if not first else s)[0]
             if not first:
