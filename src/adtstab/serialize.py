@@ -24,8 +24,7 @@ def fmt(x: float) -> str:
 
 
 def _render(value, level: int) -> str:
-    if value is None:
-        return "null"
+    """The shapes the package writes: nested objects of scalars and one-line lists."""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, str):
@@ -35,22 +34,14 @@ def _render(value, level: int) -> str:
     if isinstance(value, (float, np.floating)):
         return fmt(value)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         pad = "  " * (level + 1)
         body = ",\n".join(
             f"{pad}{json.dumps(str(k))}: {_render(v, level + 1)}"
             for k, v in value.items()
         )
         return "{\n" + body + "\n" + "  " * level + "}"
-    if isinstance(value, (list, tuple, np.ndarray)):
-        items = list(np.asarray(value).tolist()) if isinstance(value, np.ndarray) else list(value)
-        rendered = [_render(v, level + 1) for v in items]
-        if all(not isinstance(v, (dict, list, tuple, np.ndarray)) for v in items):
-            return "[" + ", ".join(rendered) + "]"
-        pad = "  " * (level + 1)
-        body = ",\n".join(pad + r for r in rendered)
-        return "[\n" + body + "\n" + "  " * level + "]"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_render(v, level + 1) for v in value) + "]"
     raise TypeError(f"cannot serialize object of type {type(value).__name__}")
 
 

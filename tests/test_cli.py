@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import adtstab as st
-from adtstab import cli, commutators, linalg
+from adtstab import cli, commutators, linalg, serialize
 from adtstab.cli import main
 
 
@@ -761,3 +761,14 @@ def test_options_may_come_before_the_command(tmp_path, capsys):
     assert exc.value.code == 0
     listed = capsys.readouterr().out.split("commands:\n", 1)[1].splitlines()
     assert [line.split()[0] for line in listed] == SUBCOMMANDS
+
+
+def test_dumps_renders_the_shapes_of_the_documents_and_refuses_others():
+    doc = {"ok": True, "n": 2, "x": 0.1, "name": 'a"b', "v": [1.0, -0.0], "inner": {"k": [3]}}
+    assert serialize.dumps(doc) == (
+        '{\n  "ok": true,\n  "n": 2,\n  "x": 0.10000000000000001,\n  "name": "a\\"b",\n'
+        '  "v": [1, -0],\n  "inner": {\n    "k": [3]\n  }\n}\n'
+    )
+    for value in (None, np.zeros(2), {1.0}):
+        with pytest.raises(TypeError, match="^cannot serialize object of type"):
+            serialize.dumps({"value": value})
