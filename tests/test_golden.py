@@ -3,11 +3,11 @@
 tests/golden/ holds the outputs of certify, omega, mr-check, gen-times and
 commutators, and in simulate.sha256 (sha256sum format) the digests of the
 simulate CSV and its 32 per-mode CSVs.  All come from
-configs/reaction_diffusion.json with its own seeds.  gen-times-cut.json is
+configs/reaction_diffusion.json with its own seeds; gen-times-cut.json is
 gen-times with schedule.chi_max = 0.8, where strict increase cuts the "adt"
-deviation window, so it pins the seeded draws from a cut window.  They were captured with
-numpy 2.4.6 (Python 3.11, x86-64 OpenBLAS); adtstab imports no scipy, so the
-bits depend on numpy's build alone.  Another numpy or BLAS build may change
+deviation window, so it pins the seeded draws from a cut window.  They were
+captured with numpy 2.4.6 (Python 3.11, x86-64 OpenBLAS); adtstab imports no
+scipy, so the bits depend on numpy's build alone.  Another numpy or BLAS build may change
 last bits, and then this test fails even though the numerics are sound.
 
 A change that alters an artifact on purpose rewrites the golden files in the
@@ -36,22 +36,24 @@ ARTIFACTS = {
 }
 
 
+def _patched(work: Path, name: str, section: str, **values) -> str:
+    """CONFIG with values set in one of its sections, written to work / name."""
+    cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
+    cfg[section].update(values)
+    (work / name).write_text(json.dumps(cfg), encoding="utf-8")
+    return str(work / name)
+
+
 def _capture(work: Path) -> dict[str, bytes]:
     """Golden artifacts of the current code by file name, built inside work."""
     for sub, name in ARTIFACTS.items():
         assert main([sub, "--config", str(CONFIG), "--output", str(work / name), "--quiet"]) == 0
-    cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
-    cfg["schedule"]["chi_max"] = 0.8
-    cut_cfg = work / "cut.json"
-    cut_cfg.write_text(json.dumps(cfg), encoding="utf-8")
     cut = work / "gen-times-cut.json"
-    assert main(["gen-times", "--config", str(cut_cfg), "--output", str(cut), "--quiet"]) == 0
-    cfg = json.loads(CONFIG.read_text(encoding="utf-8"))
-    cfg["run"]["per_mode_dir"] = str(work / "modes")
-    sim_cfg = work / "simulate.json"
-    sim_cfg.write_text(json.dumps(cfg), encoding="utf-8")
+    cut_cfg = _patched(work, "cut.json", "schedule", chi_max=0.8)
+    assert main(["gen-times", "--config", cut_cfg, "--output", str(cut), "--quiet"]) == 0
+    sim_cfg = _patched(work, "simulate.json", "run", per_mode_dir=str(work / "modes"))
     csv = work / "simulate.csv"
-    assert main(["simulate", "--config", str(sim_cfg), "--output", str(csv), "--quiet"]) == 0
+    assert main(["simulate", "--config", sim_cfg, "--output", str(csv), "--quiet"]) == 0
     found = {name: (work / name).read_bytes() for name in [*ARTIFACTS.values(), cut.name]}
     found["simulate.sha256"] = "".join(
         f"{hashlib.sha256(p.read_bytes()).hexdigest()}  {p.name}\n"
