@@ -21,11 +21,10 @@ import functools
 import math
 import struct
 from dataclasses import dataclass, field
-from itertools import tee
 
 import numpy as np
 
-from .commutators import REL_TOL, _lift_sum, _omega_rows, _system, _walk
+from .commutators import REL_TOL, _bound, _system, _walk
 from .errors import ConvergenceError, InputError
 from .linalg import (
     _diffusive_rate,
@@ -110,8 +109,9 @@ class CertificateProblem:
     Everything that does not depend on P0 is formed once on construction:
     E = e^(theta A) and Phi = B E (both read-only), the diffusive rate
     pi^2 mu^2 / ell^2, the discount, omega and the lift amplification, the
-    last two from one walk of {B, A^m}; E and the lift's flow come from one
-    expm call.  omega defaults to the correction bound at chi_max; an
+    last two each a _bound over its own walk of {B, A^m}, whose terms the
+    per-system memo forms once; E and the lift's flow come from one expm
+    call.  omega defaults to the correction bound at chi_max; an
     explicit value poses the inequality for that omega instead.  A rate
     times theta that leaves float64 raises ConvergenceError.
     """
@@ -146,14 +146,16 @@ class CertificateProblem:
             )
         phi = _jump_after_flow(B, E, self.theta)
         # walked after Phi, so a lift that overflows with Phi reports Phi's overflow
-        walk, lift_walk = tee(_walk(A, B, 2.0 * self.chi_max, lift_flow))
-        omega = _omega_rows(walk)[1] if self.omega is None else self.omega
+        s = 2.0 * self.chi_max
+        omega = self.omega
+        if omega is None:
+            omega = _bound(_walk(A, B, s), "correction bound", 1)[1]
         E.setflags(write=False)
         phi.setflags(write=False)
         for name, value in (
             ("A", A), ("B", B), ("omega", omega), ("E", E), ("phi", phi),
             ("rate", rate), ("discount", math.exp(-2.0 * rate * self.theta)),
-            ("_lift", _lift_sum(lift_walk)),
+            ("_lift", _bound(_walk(A, B, s, lift_flow), "lift bound")[1]),
         ):
             object.__setattr__(self, name, value)
 

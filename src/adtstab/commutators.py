@@ -14,12 +14,13 @@ anywhere in a series raises ConvergenceError, without a RuntimeWarning.
 
 Every series reads one walk of {B, A^m} (_walk), the only code that forms
 the commutators, their coefficients s^m/m! and, NORM_CHUNK orders per call
-of linalg._norms2 (the one 2-norm kernel), their 2-norms.  A term's size is
-|s^m/m!| ||{B, A^m}||: the scalar bounds (the jump correction omega and the
-lift amplification) sum it, and a certificate point reads both from one walk.
-The walk is remembered per system: the terms {B, A^m} and their norms depend
-on A and B alone, so each is formed once per (A, B) in a 16-slot memo
-(_system) and read by every later walk, whatever its s.
+of linalg._norms2 (the one 2-norm kernel), their 2-norms.  The scalar bounds
+(the jump correction omega and the lift amplification) are one loop,
+_bound, over a walk of their own: it sums |s^m/m!| ||{B, A^m}||, or
+|s^m/m!| ||{B, A^m} E|| for the lift's flow E.  The walk is remembered per
+system: the terms {B, A^m} and their norms depend on A and B alone, so each
+is formed once per (A, B) in a 16-slot memo (_system) and read by every
+later walk, whatever its s.
 
 Every matrix series is S(s) itself, summed from order 0 (the comparison
 jump at a shift s_k is S(s_k)), for a whole stack of arguments s_1..s_k
@@ -135,8 +136,8 @@ def _chunk(system: _System, prev) -> tuple[np.ndarray, list[float]]:
 
 
 def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
-    """Yield (m, s^m/m!, {B, A^m}, norms) for m = 0, 1, ..., where norms
-    lists ||{B, A^m}|| and, given E, ||{B, A^m} E||; s is a number (with
+    """Yield (m, s^m/m!, {B, A^m}, norm) for m = 0, 1, ..., where norm is
+    ||{B, A^m} E|| given E and ||{B, A^m}|| otherwise; s is a number (with
     Python float coefficients) or a 1-D stack.
 
     The walk never ends; each consumer reads the orders it needs, under one
@@ -146,9 +147,7 @@ def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
     term of chunk k - 1 under the consumer's np.errstate and stored there
     (up to order TERM_CAP), with the bits a fresh walk would give.  Two walks
     that form the same chunk keep the first copy stored.  The coefficients
-    and, given E, the norms ||{B, A^m} E|| are taken per walk.  Two sums may
-    share one walk through itertools.tee: each reads it as far as it needs,
-    with the bits of a walk of its own.
+    and, given E, the norms ||{B, A^m} E|| are taken per walk.
     """
     system = _system(A.tobytes(), B.tobytes(), A.shape)
     coeff = np.ones_like(s) if isinstance(s, np.ndarray) else 1.0
@@ -160,21 +159,26 @@ def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
             if first <= TERM_CAP:
                 chunk = system.chunks.setdefault(first, chunk)
         terms, norms = chunk
-        rows = zip(norms) if E is None else zip(norms, _norms2(terms @ E).tolist())
-        for m, T, row in zip(count(first), terms, rows):
-            yield m, coeff, T, row
+        if E is not None:
+            norms = _norms2(terms @ E).tolist()
+        for m, T, norm in zip(count(first), terms, norms):
+            yield m, coeff, T, norm
             coeff = coeff * (s / (m + 1))
 
 
-def _truncated_sum(terms, label: str) -> float:
-    """Sum scalar terms until _QUIET_NEEDED consecutive ones are at most
-    REL_TOL times the running sum in magnitude; a term or a sum that leaves
-    float64 raises ConvergenceError."""
+def _bound(walk, label: str, first: int = 0) -> tuple[list[tuple], float]:
+    """Sum the terms |s^m/m!| norm of a walk at a number s from order first,
+    until _QUIET_NEEDED consecutive ones are at most REL_TOL times the running
+    sum; a term or a sum that leaves float64 raises ConvergenceError.  Returns
+    the rows (m, norm, s^m/m! norm) read and the sum."""
+    rows = []
     total = None
     magnitude = float("inf")
     quiet = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        for value in terms:
+        for m, coeff, _T, norm in islice(walk, first, TERM_CAP + 1):
+            value = coeff * norm
+            rows.append((m, norm, value))
             magnitude = abs(value)
             if not np.isfinite(magnitude):
                 raise ConvergenceError(f"{label}: series term overflowed")
@@ -184,32 +188,13 @@ def _truncated_sum(terms, label: str) -> float:
                 if quiet >= _QUIET_NEEDED:
                     if not np.isfinite(total):  # finite terms can still overflow the sum
                         raise ConvergenceError(f"{label}: running sum overflowed")
-                    return total
+                    return rows, total
             else:
                 quiet = 0
     raise ConvergenceError(
         f"{label}: no convergence within {TERM_CAP} terms "
         f"(last term magnitude {magnitude:.3e})"
     )
-
-
-def _omega_rows(walk) -> tuple[list[SeriesTerm], float]:
-    """The correction_terms rows, orders m >= 1, and their total omega, from
-    a walk at s = 2 chi_max."""
-    rows: list[SeriesTerm] = []
-
-    def contributions():
-        for m, coeff, _T, (norm, *_) in islice(walk, 1, TERM_CAP + 1):
-            rows.append(SeriesTerm(m=m, commutator_norm=norm, contribution=coeff * norm))
-            yield rows[-1].contribution
-
-    return rows, _truncated_sum(contributions(), "correction bound")
-
-
-def _lift_sum(walk) -> float:
-    """The lift amplification from a walk at s = 2 chi_max with E = e^((theta - chi_max) A)."""
-    lifted = (coeff * norm for _m, coeff, _T, (_n, norm) in islice(walk, TERM_CAP + 1))
-    return _truncated_sum(lifted, "lift bound")
 
 
 def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
@@ -220,7 +205,7 @@ def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
     terms, norms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         # s = 0: the coefficients go unread
-        for m, _coeff, T, (norm,) in islice(_walk(A, B, 0.0), int(m_max) + 1):
+        for m, _coeff, T, norm in islice(_walk(A, B, 0.0), int(m_max) + 1):
             if not np.isfinite(norm):
                 raise ConvergenceError(f"commutator of order {m} overflowed")
             terms.append(T)
@@ -253,7 +238,7 @@ def commutator_series_stack(A, B, s) -> tuple[np.ndarray, np.ndarray]:
     delta = _BRACKET_DELTA * max(1.0, B.size / 64)
     low, high = REL_TOL * (1.0 - delta) / np.sqrt(B.shape[0]), REL_TOL * (1.0 + delta)
     with np.errstate(over="ignore", invalid="ignore"):
-        for m, coeff, T, (norm,) in islice(_walk(A, B, s), TERM_CAP + 1):
+        for m, coeff, T, norm in islice(_walk(A, B, s), TERM_CAP + 1):
             coeff = coeff[live]
             magnitude = np.abs(coeff) * norm
             if not np.all(np.isfinite(magnitude)):
@@ -295,7 +280,8 @@ def _correction(A, B, chi_max: float) -> tuple[list[SeriesTerm], float]:
     A, B = as_pair(A, B)
     if not np.isfinite(chi_max) or chi_max < 0.0:
         raise InputError("chi_max must be finite and >= 0")
-    return _omega_rows(_walk(A, B, 2.0 * float(chi_max)))
+    rows, omega = _bound(_walk(A, B, 2.0 * float(chi_max)), "correction bound", 1)
+    return [SeriesTerm(*row) for row in rows], omega
 
 
 def correction_terms(A, B, chi_max: float) -> list[SeriesTerm]:
@@ -320,4 +306,5 @@ def lift_bound(A, B, theta: float, chi_max: float) -> float:
     """
     A, B = as_pair(A, B)
     check_window(theta, chi_max)
-    return float(_lift_sum(_walk(A, B, 2.0 * float(chi_max), expm(A, theta - chi_max))))
+    flow = expm(A, theta - chi_max)
+    return float(_bound(_walk(A, B, 2.0 * float(chi_max), flow), "lift bound")[1])

@@ -28,7 +28,7 @@ from .errors import ConvergenceError, InputError
 from .linalg import _diffusive_rate, as_vector, check_positive, expm
 from .schedules import ImpulseSchedule, _lowest_deviation, require_valid
 from .serialize import fmt
-from .systems import ImpulsiveSystem, _deviation_span, _lift
+from .systems import ImpulsiveSystem, _lift
 
 __all__ = [
     "Trajectory",
@@ -315,11 +315,12 @@ def matching_residual(
 
     One pass over the jumps, with the bits of simulate_ode, lifted_initial
     and simulate_comparison composed.  Per FLOW_BLOCK jumps one expm call
-    gives the flows over the dwells tau_k - tau_(k-1), the lift's flow,
-    E = e^(theta A) and the flows over the shifts s_k, and one series stack
-    gives the jumps S(s_k), led by the lift's S(s_1) in the first block (a
-    last block with a dwell and no shift, at K = 1 mod FLOW_BLOCK, needs
-    none); both chains are checked as those simulators check them.
+    gives the flows over the dwells tau_k - tau_(k-1) and the shifts s_k
+    (the first block's also the lift's flow and E = e^(theta A), which later
+    blocks reuse), and one series stack gives the jumps S(s_k), led by the
+    lift's S(s_1) in the first block (a last block with a dwell and no
+    shift, at K = 1 mod FLOW_BLOCK, needs none); both chains are checked as
+    those simulators check them.
     """
     if K < 2:
         raise InputError("K must be >= 2")
@@ -335,8 +336,8 @@ def matching_residual(
         if not np.isfinite(taus[K] - schedule.tau0):
             raise InputError(f"tau_{K} - tau0 must be finite")
         theta, chi_max, variant = schedule.theta, schedule.chi_max, schedule.variant
-        s_1 = _deviation_span(schedule.chis[1], chi_max, variant)
         lo = _lowest_deviation(chi_max, variant)
+        s_1 = schedule.chis[1] - lo  # require_valid checked chi_1's window
         dwells = np.diff(taus)
         shifts = np.asarray(schedule.chis[2:K + 1]) - lo  # s_k, k = 2..K
         # x0, then the pre-jump and post-jump states at tau_k in rows 2k - 1 and
@@ -346,7 +347,8 @@ def matching_residual(
         xs[0] = x = x0
         for first in range(0, K, FLOW_BLOCK):
             d, s = dwells[first:first + FLOW_BLOCK], shifts[first:first + FLOW_BLOCK]
-            flows = expm(system.A, np.concatenate((d, [theta + lo, theta], s)))
+            lead = () if first else (theta + lo, theta)
+            flows = expm(system.A, np.concatenate((d, lead, s)))
             for k, F in enumerate(flows[:len(d)], first + 1):
                 xs[2 * k - 1] = pre = F @ x
                 xs[2 * k] = x = system.B @ pre
@@ -355,11 +357,12 @@ def matching_residual(
             # the lift's S(s_1) leads the first block's stack
             J = commutator_series_stack(system.A, system.B, np.r_[s_1, s] if not first else s)[0]
             if not first:
-                zs[0] = _lift(J[0], flows[len(d)], x0)
+                lift_flow, E = flows[len(d):len(d) + 2]
+                zs[0] = _lift(J[0], lift_flow, x0)
                 J = J[1:]
-            _comparison_steps(flows[len(d) + 1], J, zs[2 * first:])
+            _comparison_steps(E, J, zs[2 * first:])
             z_posts = zs[2 * np.arange(first + 1, first + len(s) + 1)]
-            predicted[first:first + len(s)] = (flows[len(d) + 2:] @ z_posts[:, :, None])[:, :, 0]
+            predicted[first:first + len(s)] = (flows[-len(s):] @ z_posts[:, :, None])[:, :, 0]
     actual = _jump_trajectory(taus, xs)
     _jump_trajectory(theta * np.arange(K), zs)
     gaps = _rescaled(actual.post_jump_states[1:] - predicted, _vector_norms)

@@ -429,16 +429,18 @@ def _period_flows(flows, A, theta):
 
 
 def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls):
-    # omega and the lift amplification come from one walk of {B, A^m}, E and
-    # the lift's flow from one expm call, and the memo keys on the raw bits,
-    # so A and B are checked once, when the problem is built
+    # omega and the lift amplification each walk {B, A^m}, and the system
+    # memo forms each chunk of it once; E and the lift's flow come from one
+    # expm call, and the memo keys on the raw bits, so A and B are checked
+    # once, when the problem is built
     point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
-    walks = record_calls(commutators._walk)
+    chunks = record_calls(commutators._chunk)
     flows = record_calls(linalg.expm)
     checks = record_calls(linalg.as_square_matrix)
     p0 = st.search_p0(*point)
     doc = st.evaluate_certificate(*point, p0=p0).to_doc()
-    assert len(walks) == 1
+    system = commutators._system(ref.A.tobytes(), ref.B.tobytes(), ref.A.shape)
+    assert 0 < len(chunks) == len(system.chunks)
     assert len(flows) == len(_period_flows(flows, ref.A, ref.theta)) == 1
     names = [args[1] if len(args) > 1 else kwargs.get("name") for args, kwargs in checks]
     assert names.count("A") == names.count("B") == 1

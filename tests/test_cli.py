@@ -276,11 +276,12 @@ def test_gen_times_rejects_non_finite_deviation(ref_config_path, tmp_path, capsy
 def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, record_calls, jitter, code):
     base = json.loads(ref_config_path.read_text(encoding="utf-8"))
     theta = base["schedule"]["theta"]
-    A = np.reshape(base["system"]["A"], (2, 2))
+    A, B = (np.reshape(np.asarray(base["system"][k], dtype=float), (2, 2)) for k in "AB")
     patches = None if jitter is None else {"schedule.chi_max": jitter * theta}
     cfg = _patched_config(ref_config_path, tmp_path, patches)
-    # omega and the lift amplification come from one walk of {B, A^m}
-    walks = record_calls(commutators._walk)
+    # omega and the lift amplification each walk {B, A^m}, and the system
+    # memo forms each chunk of it once
+    chunks = record_calls(commutators._chunk)
     flows = record_calls(linalg.expm)
     out = tmp_path / "report.json"
     assert main(["certify", "--config", str(cfg), "--output", str(out), "--quiet"]) == code
@@ -289,7 +290,8 @@ def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, record_cal
         if theta in np.atleast_1d(args[1] if len(args) > 1 else kwargs.get("t", 1.0))
         and np.array_equal(args[0], A)
     ]
-    assert len(walks) == 1
+    system = commutators._system(A.tobytes(), B.tobytes(), A.shape)
+    assert 0 < len(chunks) == len(system.chunks)
     assert len(flows) == len(period_flows) == 1
 
 
@@ -721,6 +723,7 @@ def test_run_that_does_not_fit_in_memory_exits2(ref_config_path, tmp_path, capsy
 # the config readers' own input checks, each with the arguments that reach it
 CONFIG_CHECKS = {
     "system.n": ({"system.n": 0}, ["omega"], "system.n must be >= 1, got 0"),
+    "system.A": ({"system.A": [1.0, 2.0, 3.0]}, ["omega"], "matrix 'A' must have 4 entries, got 3"),
     "seed-flag": ({}, ["gen-times", "--seed", "-1"], "seeds must be >= 0, got -1"),
     "schedule.seed": ({"schedule.seed": -1}, ["gen-times"], "seeds must be >= 0, got -1"),
     "no-generator": ({"schedule.count": None}, ["gen-times"],

@@ -101,6 +101,15 @@ def test_cli_artifacts_match_golden_files_without_scipy(tmp_path):
     assert json.loads((tmp_path / "shear.out").read_text())["p0"] != [1.0, 0.0, 0.0, 1.0]
 
 
+def test_python_m_adtstab_reproduces_mr_check(tmp_path):
+    # the package's __main__, in a fresh interpreter with warnings as errors
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "PYTHONWARNINGS": "error"}
+    out = tmp_path / "mr.txt"
+    args = ["mr-check", "--config", str(CONFIG), "--output", str(out), "--quiet"]
+    subprocess.run([sys.executable, "-m", "adtstab", *args], env=env, check=True)
+    assert out.read_bytes() == (GOLDEN / "mr-check.txt").read_bytes()
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         for name, data in _capture(Path(work)).items():

@@ -227,6 +227,9 @@ def test_matching_residual_takes_its_flows_from_one_expm_call_per_flow_block(
     log, series_log = record_calls(expm), record_calls(st.commutator_series_stack)
     assert st.matching_residual(ref_system, sched, [0.6, -0.8], K) <= 1e-8
     assert len(log) == calls
+    # the dwells, then the lift's flow and E in the first call only, then the shifts
+    times = {2: [5], FLOW_BLOCK: [513], FLOW_BLOCK + 1: [514, 1], 2 * FLOW_BLOCK + 1: [514, 512, 1]}
+    assert [np.size(args[1]) for args, _ in log] == times[K]
     # and its series sums from one stack per block with a shift, the lift's S(s_1)
     # first in the first: at K = 1 (mod FLOW_BLOCK) the last block has none
     stacks = {2: 1, FLOW_BLOCK: 1, FLOW_BLOCK + 1: 1, 2 * FLOW_BLOCK + 1: 2}[K]
