@@ -108,12 +108,13 @@ class CertificateProblem:
 
     Everything that does not depend on P0 is formed once on construction:
     E = e^(theta A) and Phi = B E (both read-only), the diffusive rate
-    pi^2 mu^2 / ell^2, the discount, omega and the lift amplification, the
-    last two each a _bound over its own walk of {B, A^m}, whose terms the
-    per-system memo forms once; E and the lift's flow come from one expm
-    call.  omega defaults to the correction bound at chi_max; an
-    explicit value poses the inequality for that omega instead.  A rate
-    times theta that leaves float64 raises ConvergenceError.
+    pi^2 mu^2 / ell^2, the discount and omega, a _bound over a walk of
+    {B, A^m}, whose terms the per-system memo forms once.  E and the lift's
+    flow e^((theta - chi_max) A) come from one expm call; the lift
+    amplification, a _bound over a walk of its own, is summed in evaluate,
+    which alone reads it.  omega defaults to the correction bound at
+    chi_max; an explicit value poses the inequality for that omega instead.
+    A rate times theta that leaves float64 raises ConvergenceError.
     """
 
     A: np.ndarray
@@ -127,7 +128,7 @@ class CertificateProblem:
     phi: np.ndarray = field(init=False, repr=False)
     rate: float = field(init=False, repr=False)
     discount: float = field(init=False, repr=False)
-    _lift: float = field(init=False, repr=False)
+    _lift_flow: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         A, B = as_pair(self.A, self.B)
@@ -145,17 +146,15 @@ class CertificateProblem:
                 f"diffusive rate times theta overflowed at mu = {self.mu:g}, ell = {self.ell:g}"
             )
         phi = _jump_after_flow(B, E, self.theta)
-        # walked after Phi, so a lift that overflows with Phi reports Phi's overflow
-        s = 2.0 * self.chi_max
         omega = self.omega
         if omega is None:
-            omega = _bound(_walk(A, B, s), "correction bound", 1)[1]
+            omega = _bound(_walk(A, B, 2.0 * self.chi_max), "correction bound", 1)[1]
         E.setflags(write=False)
         phi.setflags(write=False)
         for name, value in (
             ("A", A), ("B", B), ("omega", omega), ("E", E), ("phi", phi),
             ("rate", rate), ("discount", math.exp(-2.0 * rate * self.theta)),
-            ("_lift", _bound(_walk(A, B, s, lift_flow), "lift bound")[1]),
+            ("_lift_flow", lift_flow),
         ):
             object.__setattr__(self, name, value)
 
@@ -218,6 +217,7 @@ class CertificateProblem:
         counts as below) and the jump inequality holds with positive margin.
         """
         A, B, theta, chi_max = self.A, self.B, self.theta, self.chi_max
+        lift = _bound(_walk(A, B, 2.0 * chi_max, self._lift_flow), "lift bound")[1]
         p0 = np.eye(A.shape[0]) if p0 is None else check_spd(p0)
         log_threshold = self.rate * theta
         radius = _spectral_radius(self.phi)
@@ -237,7 +237,7 @@ class CertificateProblem:
             # rate; forming A - rate id could overflow
             shifted_a_hurwitz=system.a_abscissa < self.rate,
             b_schur=system.b_radius < 1.0,
-            lift_amplification=self._lift,
+            lift_amplification=lift,
             inputs={
                 "n": int(A.shape[0]),
                 "a": [float(v) for v in A.ravel()],

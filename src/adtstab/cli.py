@@ -22,7 +22,8 @@ from .certify import CertificateProblem
 from .commutators import REL_TOL, _correction, nested_commutators
 from .errors import ConvergenceError, InputError
 from .schedules import (
-    ImpulseSchedule, _number, generate, require_valid, schedule_from_doc, schedule_to_doc
+    ImpulseSchedule, _numbers, _values, _whole, generate, require_valid, schedule_from_doc,
+    schedule_to_doc,
 )
 from .serialize import dumps, fmt
 from .simulate import (
@@ -62,41 +63,8 @@ def _section(cfg: dict, name: str) -> dict:
     return sec
 
 
-def _values(sec: dict, name: str, *keys: str, kind=_number, default=None) -> list:
-    """The keys of the config section called name, each read by kind.
-
-    default stands in for a missing key.  A key missing without a default,
-    or a value that kind rejects, raises InputError naming name.key.
-    """
-    out = []
-    for key in keys:
-        if key not in sec and default is not None:
-            out.append(default)
-            continue
-        try:
-            out.append(kind(sec[key]))
-        except KeyError:
-            raise InputError(f"{name} section missing {key!r}") from None
-        except (TypeError, ValueError, OverflowError):
-            raise InputError(f"{name}.{key} has an invalid value {sec[key]!r}") from None
-    return out
-
-
-def _int(value) -> int:
-    """A whole JSON number; a bool, a string or a fractional part is refused."""
-    if _number(value, int) != value:
-        raise ValueError(value)
-    return int(value)
-
-
-def _float_array(value) -> np.ndarray:
-    """Nested JSON lists of numbers (or one number), each entry read by _number."""
-    arr = np.asarray(value, dtype=object)
-    return np.array([_number(v) for v in arr.flat], dtype=float).reshape(arr.shape)
-
-
 def _matrix(sec: dict, name: str, key: str, n: int) -> np.ndarray:
-    (arr,) = _values(sec, name, key, kind=_float_array)
+    (arr,) = _values(sec, name, key, kind=_numbers)
     if arr.ndim == 1:
         if arr.size != n * n:
             raise InputError(f"matrix {key!r} must have {n * n} entries, got {arr.size}")
@@ -108,7 +76,7 @@ def _matrix(sec: dict, name: str, key: str, n: int) -> np.ndarray:
 
 def _config_system(cfg: dict) -> ImpulsiveSystem:
     sec = _section(cfg, "system")
-    (n,) = _values(sec, "system", "n", kind=_int)
+    (n,) = _values(sec, "system", "n", kind=_whole)
     if n < 1:
         raise InputError(f"system.n must be >= 1, got {n}")
     return ImpulsiveSystem(A=_matrix(sec, "system", "A", n), B=_matrix(sec, "system", "B", n))
@@ -118,7 +86,7 @@ def _seed(sec: dict, name: str, seed_override: int | None) -> int:
     """The --seed override, else the section's seed (default 0); seeds are >= 0."""
     seed = seed_override
     if seed is None:
-        (seed,) = _values(sec, name, "seed", kind=_int, default=0)
+        (seed,) = _values(sec, name, "seed", kind=_whole, default=0)
     if seed < 0:
         raise InputError(f"seeds must be >= 0, got {seed}")
     return seed
@@ -135,7 +103,7 @@ def _config_schedule(cfg: dict, seed_override: int | None) -> ImpulseSchedule:
     return generate(
         *_values(sec, "schedule", "tau0", default=0.0),
         *_values(sec, "schedule", "theta", "chi_max"),
-        count=_values(sec, "schedule", "count", kind=_int)[0],
+        count=_values(sec, "schedule", "count", kind=_whole)[0],
         variant=sec.get("variant", "adt"),
         seed=_seed(sec, "schedule", seed_override),
     )
@@ -149,7 +117,7 @@ def _config_model(cfg: dict, system: ImpulsiveSystem) -> ParabolicModel:
         B=system.B,
         mu=mu,
         ell=ell,
-        n_modes=_values(sec, "pde", "n_modes", kind=_int, default=1)[0],
+        n_modes=_values(sec, "pde", "n_modes", kind=_whole, default=1)[0],
     )
 
 
@@ -166,7 +134,7 @@ def _initial(run: dict, key: str, shape, seed: int, norm) -> np.ndarray:
     """run[key], or standard-normal data of this shape drawn from seed and
     divided by its norm."""
     if key in run:
-        return _values(run, "run", key, kind=_float_array)[0]
+        return _values(run, "run", key, kind=_numbers)[0]
     v = np.random.default_rng(seed).standard_normal(shape)
     return v / norm(v)
 
@@ -235,7 +203,7 @@ def cmd_mr_check(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
     schedule = _config_schedule(cfg, seed_override)
     run = _run(cfg)
-    (K,) = _values(run, "run", "k", kind=_int, default=20)
+    (K,) = _values(run, "run", "k", kind=_whole, default=20)
     x0 = _initial(run, "x0", system.n, _seed(run, "run", seed_override), np.linalg.norm)
     residual = matching_residual(system, schedule, x0, K)
     ok = residual <= MR_TOL
@@ -255,7 +223,7 @@ def cmd_gen_times(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
 
 def cmd_commutators(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     system = _config_system(cfg)
-    (m_max,) = _values(_run(cfg), "run", "m_max", kind=_int, default=10)
+    (m_max,) = _values(_run(cfg), "run", "m_max", kind=_whole, default=10)
     seq = nested_commutators(system.A, system.B, m_max)
     lines = ["m,norm"] + [f"{m},{fmt(v)}" for m, v in enumerate(seq.norms)]
     return "\n".join(lines) + "\n", f"computed nested commutators up to order {m_max}", 0

@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError
 from .linalg import _norms2, _spectral_radius, as_pair, expm
-from .schedules import check_window
+from .schedules import _INDEX_MAX, _whole, check_window
 
 TERM_CAP = 200
 REL_TOL = 1e-12
@@ -200,12 +200,11 @@ def _bound(walk, label: str, first: int = 0) -> tuple[list[tuple], float]:
 def nested_commutators(A, B, m_max: int) -> CommutatorSequence:
     """Compute {B, A^m} for m = 0..m_max by the defining recurrence."""
     A, B = as_pair(A, B)
-    if not 0 <= m_max < np.iinfo(np.intp).max:  # m_max + 1 terms, a count in the index range
-        raise InputError(f"m_max must be in 0..{np.iinfo(np.intp).max - 1}, got {m_max}")
+    m_max = _whole(m_max, "m_max", 0, _INDEX_MAX - 1)  # m_max + 1 terms, an index-range count
     terms, norms = [], []
     with np.errstate(over="ignore", invalid="ignore"):
         # s = 0: the coefficients go unread
-        for m, _coeff, T, norm in islice(_walk(A, B, 0.0), int(m_max) + 1):
+        for m, _coeff, T, norm in islice(_walk(A, B, 0.0), m_max + 1):
             if not np.isfinite(norm):
                 raise ConvergenceError(f"commutator of order {m} overflowed")
             terms.append(T)

@@ -21,6 +21,8 @@ from .errors import InputError
 ADT = "adt"
 ADT_PLUS = "adt_plus"
 VARIANTS = (ADT, ADT_PLUS)
+# the largest count or index an array can hold
+_INDEX_MAX = int(np.iinfo(np.intp).max)
 
 __all__ = [
     "ADT",
@@ -119,12 +121,11 @@ def generate(
     the schedule has the bits of such a rejection sampler.
     """
     _check_params(tau0, theta, chi_max, variant)
-    if count < 1:
-        raise InputError("count must be >= 1")
-    rng = np.random.default_rng(seed)
+    count = _whole(count, "count", 1, _INDEX_MAX)
+    rng = np.random.default_rng(_whole(seed, "seed", 0))
     lo = _lowest_deviation(chi_max, variant)
     chis = [0.0]
-    for _ in range(1, int(count)):
+    for _ in range(1, count):
         low = max(lo, math.nextafter(chis[-1] - theta, math.inf))  # tau_k > tau_(k-1)
         chis.append(float(rng.uniform(low, chi_max)))
     return ImpulseSchedule(
@@ -203,16 +204,51 @@ def _number(value, kind=float):
     return kind(value)
 
 
-def _doc_value(doc: dict, key: str, many: bool = False):
-    """doc[key] read by _number, or each of its entries when many; InputError names the key."""
-    if key not in doc:
-        raise InputError(f"schedule document missing key {key!r}")
+def _numbers(value) -> np.ndarray:
+    """Nested lists of numbers (or one number), each entry read by _number."""
+    arr = np.asarray(value, dtype=object)
+    return np.array([_number(v) for v in arr.flat], dtype=float).reshape(arr.shape)
+
+
+def _number_list(value) -> list[float]:
+    """A flat list of numbers read by _numbers; any other shape raises ValueError."""
+    arr = _numbers(value)
+    if arr.ndim != 1:
+        raise ValueError(repr(value))
+    return arr.tolist()
+
+
+def _whole(value, name: str = "value", lo=-math.inf, hi=math.inf) -> int:
+    """A whole Python or numpy real in lo..hi as an int; a bool, a string, a
+    fractional or non-finite number or a value outside lo..hi raises
+    InputError naming name."""
     try:
-        return [_number(v) for v in doc[key]] if many else _number(doc[key])
-    except (TypeError, ValueError, OverflowError):
-        raise InputError(
-            f"schedule document has a value that is not a number: {key} = {doc[key]!r}"
-        ) from None
+        whole = _number(value, int)
+    except (ValueError, OverflowError):  # int(nan), int(inf)
+        whole = None
+    if whole is None or whole != value or not lo <= whole <= hi:
+        raise InputError(f"{name} must be in {lo}..{hi}, got {value!r}")
+    return whole
+
+
+def _values(sec: dict, name: str, *keys: str, kind=_number, default=None) -> list:
+    """The keys of the config section or document called name, each read by kind.
+
+    default stands in for a missing key.  A key missing without a default,
+    or a value that kind rejects, raises InputError naming name.key.
+    """
+    out = []
+    for key in keys:
+        if key not in sec and default is not None:
+            out.append(default)
+            continue
+        try:
+            out.append(kind(sec[key]))
+        except KeyError:
+            raise InputError(f"{name} section missing {key!r}") from None
+        except (TypeError, ValueError, OverflowError):
+            raise InputError(f"{name}.{key} has an invalid value {sec[key]!r}") from None
+    return out
 
 
 def schedule_from_doc(doc: dict) -> ImpulseSchedule:
@@ -224,16 +260,15 @@ def schedule_from_doc(doc: dict) -> ImpulseSchedule:
     if not isinstance(doc, dict):
         raise InputError("schedule document must be a JSON object")
     variant = doc.get("variant", ADT)
-    theta = _doc_value(doc, "theta")
-    chi_max = _doc_value(doc, "chi_max")
+    theta, chi_max = _values(doc, "schedule", "theta", "chi_max")
     if "chis" in doc:
-        chis = _doc_value(doc, "chis", many=True)
-        tau0 = _doc_value(doc, "tau0")
+        (chis,) = _values(doc, "schedule", "chis", kind=_number_list)
+        (tau0,) = _values(doc, "schedule", "tau0")
     elif "taus" in doc:
-        taus = _doc_value(doc, "taus", many=True)
+        (taus,) = _values(doc, "schedule", "taus", kind=_number_list)
         if not taus:
             raise InputError("schedule document has an empty 'taus' list")
-        tau0 = _doc_value(doc, "tau0") if "tau0" in doc else taus[0]
+        (tau0,) = _values(doc, "schedule", "tau0", default=taus[0])
         chis = [t - tau0 - k * theta for k, t in enumerate(taus)]
     else:
         raise InputError("schedule document needs either 'chis' or 'taus'")

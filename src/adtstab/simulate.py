@@ -26,7 +26,7 @@ import numpy as np
 from .commutators import commutator_series_stack
 from .errors import ConvergenceError, InputError
 from .linalg import _diffusive_rate, as_vector, check_positive, expm
-from .schedules import ImpulseSchedule, _lowest_deviation, require_valid
+from .schedules import _INDEX_MAX, ImpulseSchedule, _lowest_deviation, _whole, require_valid
 from .serialize import fmt
 from .systems import ImpulsiveSystem, _lift
 
@@ -86,15 +86,12 @@ class ParabolicModel(ImpulsiveSystem):
     def __post_init__(self):
         super().__post_init__()
         check_positive(mu=self.mu, ell=self.ell)
-        if not 1 <= int(self.n_modes) <= np.iinfo(np.intp).max:
-            raise InputError(f"n_modes must be in 1..{np.iinfo(np.intp).max}, got {self.n_modes}")
-        object.__setattr__(self, "n_modes", int(self.n_modes))
+        object.__setattr__(self, "n_modes", _whole(self.n_modes, "n_modes", 1, _INDEX_MAX))
 
     def decay_rate(self, j: int) -> float:
         """Diffusive shift mu^2 (j pi / ell)^2 of mode j; one that leaves
         float64 raises ConvergenceError."""
-        if not 1 <= j <= self.n_modes:
-            raise InputError(f"mode index {j} outside 1..{self.n_modes}")
+        j = _whole(j, "mode index j", 1, self.n_modes)
         rate = _diffusive_rate(self.mu, self.ell, j)
         if rate == np.inf:
             raise ConvergenceError(
@@ -191,9 +188,9 @@ def _run_events(x0, schedule, t_end, sample_dt, A, evolve, jump, norms_of) -> Tr
         raise InputError("sample_dt must be > 0")
     tau0, t_end, sample_dt = schedule.tau0, float(t_end), float(sample_dt)
     n_samples = (t_end - tau0) / sample_dt + 1e-9
-    if not n_samples <= np.iinfo(np.intp).max:
+    if not n_samples <= _INDEX_MAX:
         raise InputError(f"run of {n_samples:g} samples is beyond the index range")
-    if not 8.0 * n_samples <= np.iinfo(np.intp).max:  # bytes of one float64 sample array
+    if not 8.0 * n_samples <= _INDEX_MAX:  # bytes of one float64 sample array
         raise InputError(
             f"run of {n_samples:g} samples takes {8.0 * n_samples:g} bytes, beyond the index range"
         )
@@ -262,15 +259,13 @@ def simulate_comparison(
     comparison_jump(...).J for each jump alone.
     """
     require_valid(schedule)
-    if K < 1:
-        raise InputError("K must be >= 1")
+    K = _whole(K, "K", 1)
     if len(schedule) < K + 2:
         raise InputError(
             f"schedule provides {len(schedule)} deviations; "
             f"K = {K} needs at least {K + 2} (jump at K*theta uses chi_(K+1))"
         )
     z0 = as_vector(z0, system.n)
-    K = int(K)
     lo = _lowest_deviation(schedule.chi_max, schedule.variant)
     spans = np.asarray(schedule.chis[2:K + 2]) - lo  # chi_(k+1) - lo, each in its window
     states = np.empty((2 * K + 1, system.n))
@@ -322,8 +317,7 @@ def matching_residual(
     shift, at K = 1 mod FLOW_BLOCK, needs none); both chains are checked as
     those simulators check them.
     """
-    if K < 2:
-        raise InputError("K must be >= 2")
+    K = _whole(K, "K", 2)
     if len(schedule) < K + 1:
         raise InputError(
             f"schedule provides {len(schedule)} deviations; horizon K = {K} "
@@ -434,9 +428,6 @@ def mode_csv(traj: Trajectory, j: int) -> str:
     """Per-mode CSV t,norm,is_post_jump,c_0..c_{n-1} for sine mode j."""
     if traj.states.ndim != 3:
         raise InputError("mode_csv needs a parabolic trajectory")
-    n_modes = traj.states.shape[1]
-    if not 1 <= j <= n_modes:
-        raise InputError(f"mode index {j} outside 1..{n_modes}")
-    C = traj.states[:, j - 1]
+    C = traj.states[:, _whole(j, "mode index j", 1, traj.states.shape[1]) - 1]
     header = "t,norm,is_post_jump," + ",".join(f"c_{i}" for i in range(C.shape[1]))
     return _csv(header, traj.times, _rescaled(C, _vector_norms), traj.jump_indices, C)

@@ -447,6 +447,24 @@ def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls):
     assert doc == st.CertificateProblem(*point).evaluate(p0).to_doc()
 
 
+def test_only_evaluate_sums_the_lift_bound(ref, record_calls):
+    # the lift amplification is a report diagnostic: a problem posed for an
+    # explicit omega or a P0 search never reads it
+    point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
+    bounds = record_calls(commutators._bound)
+
+    def lifts():
+        return [args[1] for args, _ in bounds].count("lift bound")
+
+    st.inequality_lhs(np.eye(2), ref.A, ref.B, ref.theta, ref.mu, ref.ell, 0.5)
+    assert lifts() == 0
+    problem = st.CertificateProblem(*point)
+    p0 = problem.search()
+    assert lifts() == 0
+    problem.evaluate(p0)
+    assert lifts() == 1
+
+
 def test_problem_memo_sees_an_in_place_edit_of_a(ref):
     A = ref.A.copy()
     p0 = st.search_p0(A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)

@@ -643,6 +643,17 @@ def test_array_keys_refuse_bool_and_string_entries(dotted, entry, tmp_path, caps
     assert capsys.readouterr().err == f"error: {dotted} has an invalid value {bad!r}\n"
 
 
+# the subcommands that read each schedule key, from a generator or an inline section
+SCHEDULE_READERS = {
+    "theta": ("certify", "simulate", "mr-check", "gen-times"),
+    "chi_max": ("certify", "simulate", "omega", "mr-check", "gen-times"),
+    "tau0": ("simulate", "mr-check", "gen-times"),
+    "chis": ("simulate", "mr-check", "gen-times"),
+}
+# patches that turn the bundled generator section into an inline one
+INLINE_SCHEDULE = {"schedule.count": None, "schedule.chis": [0.0] * 22}
+
+
 def test_generator_keys_other_than_tau0_have_no_default(tmp_path, capsys):
     def run(sub, patches, name):
         path = _patched_config(BUNDLED_CONFIG, tmp_path, {"run.t_end": 2.0, **patches}, name=name)
@@ -653,13 +664,15 @@ def test_generator_keys_other_than_tau0_have_no_default(tmp_path, capsys):
     code_zero, zero = run("gen-times", {"schedule.tau0": 0.0}, "zero.json")
     assert code == code_zero == 0
     assert bare.read_bytes() == zero.read_bytes()
-    readers = {"theta": ("certify", "simulate", "mr-check", "gen-times"),
-               "chi_max": ("certify", "simulate", "omega", "mr-check", "gen-times")}
-    for key, subs in readers.items():
-        for sub in subs:
-            capsys.readouterr()
-            assert run(sub, {f"schedule.{key}": None}, "missing.json")[0] == 2, (key, sub)
-            assert capsys.readouterr().err == f"error: schedule section missing {key!r}\n"
+    # an inline section reads tau0 too, with no default
+    for section, keys in (({}, ("theta", "chi_max")),
+                          (INLINE_SCHEDULE, ("theta", "chi_max", "tau0"))):
+        for key in keys:
+            for sub in SCHEDULE_READERS[key]:
+                capsys.readouterr()
+                patches = {**section, f"schedule.{key}": None}
+                assert run(sub, patches, "missing.json")[0] == 2, (section, key, sub)
+                assert capsys.readouterr().err == f"error: schedule section missing {key!r}\n"
 
 
 def test_gen_times_reports_initial_deviation_as_a_number(tmp_path, capsys):
@@ -743,15 +756,23 @@ def test_config_checks_exit2(tmp_path, capsys, case):
     assert err.startswith(f"error: {start}") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("chis, shown", [([0.0, "x"], "[0.0, 'x']"), ("000", "'000'")],
-                         ids=["entry", "string"])
-def test_schedule_number_errors_name_the_key(tmp_path, capsys, chis, shown):
-    path = _patched_config(BUNDLED_CONFIG, tmp_path, {"schedule.count": None, "schedule.chis": chis})
-    for sub in ("gen-times", "simulate", "mr-check"):
-        assert main([sub, "--config", str(path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: schedule document has a value that is not a number: chis = {shown}\n"
-        )
+# a bad value of each schedule key; "entry" and "string" are inline-only
+SCHEDULE_ERRORS = {
+    "entry": ("chis", [0.0, "x"]), "string": ("chis", "000"),
+    "theta": ("theta", "1"), "chi_max": ("chi_max", True), "tau0": ("tau0", "0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEDULE_ERRORS))
+def test_schedule_number_errors_name_the_key(tmp_path, capsys, case):
+    # generator and inline sections give one message per bad key, in every subcommand
+    key, bad = SCHEDULE_ERRORS[case]
+    for section in (INLINE_SCHEDULE,) if key == "chis" else ({}, INLINE_SCHEDULE):
+        path = _patched_config(BUNDLED_CONFIG, tmp_path, {**section, f"schedule.{key}": bad})
+        for sub in SCHEDULE_READERS[key]:
+            assert main([sub, "--config", str(path)]) == 2, (section, sub)
+            message = f"error: schedule.{key} has an invalid value {bad!r}\n"
+            assert capsys.readouterr().err == message
 
 
 def test_options_may_come_before_the_command(tmp_path, capsys):

@@ -65,6 +65,42 @@ def test_generate_parameter_validation():
         st.generate_schedule(float("nan"), 1.0, 0.1, 5)
 
 
+def _count_arguments(ref):
+    """Each library count argument: its name in errors, its lowest value and
+    a call at a value whose result can be compared with ==."""
+    system = st.ImpulsiveSystem(A=ref.A, B=ref.B)
+    model = st.ParabolicModel(A=ref.A, B=ref.B, mu=ref.mu, ell=ref.ell, n_modes=4)
+    sched = st.generate_schedule(0.0, ref.theta, ref.chi_max, 6, st.ADT, seed=1)
+    traj = st.simulate_parabolic(model, sched, np.eye(4, 2), 2.0, 0.5)
+    return {
+        "generate-count": ("count", 1, lambda v: st.generate_schedule(0.0, 1.0, 0.1, v)),
+        "generate-seed": ("seed", 0, lambda v: st.generate_schedule(0.0, 1.0, 0.1, 4, seed=v)),
+        "nested_commutators": ("m_max", 0, lambda v: st.nested_commutators(ref.A, ref.B, v).norms),
+        "ParabolicModel": ("n_modes", 1, lambda v: repr(
+            st.ParabolicModel(A=ref.A, B=ref.B, mu=ref.mu, ell=ref.ell, n_modes=v))),
+        "decay_rate": ("mode index j", 1, model.decay_rate),
+        "mode_csv": ("mode index j", 1, lambda v: st.mode_csv(traj, v)),
+        "simulate_comparison": ("K", 1, lambda v: st.simulate_comparison(
+            system, sched, [1.0, 0.0], v).states.tobytes()),
+        "matching_residual": ("K", 2, lambda v: st.matching_residual(system, sched, [1.0, 0.0], v)),
+    }
+
+
+@pytest.mark.parametrize("site", [
+    "generate-count", "generate-seed", "nested_commutators", "ParabolicModel", "decay_rate",
+    "mode_csv", "simulate_comparison", "matching_residual",
+])
+def test_count_arguments_take_whole_numbers_only(ref, site):
+    # int() would read 2.5 as 2 and True as 1; a whole float or numpy integer reads as the int
+    name, lo, call = _count_arguments(ref)[site]
+    for bad in (True, "3", 2.5, math.nan, math.inf, lo - 1):
+        with pytest.raises(st.InputError, match=f"^{re.escape(name)} must be in "):
+            call(bad)
+    expected = call(3)
+    for whole in (np.float64(3.0), np.int64(3), 3.0):
+        assert call(whole) == expected
+
+
 def test_taus_encode_deviations():
     s = st.ImpulseSchedule(2.0, 0.5, 0.1, st.ADT, (0.0, 0.05, -0.1))
     assert np.allclose(s.taus, [2.0, 2.55, 2.9], atol=1e-15)
@@ -294,17 +330,17 @@ def test_doc_accepts_explicit_instants():
 def test_doc_missing_fields():
     with pytest.raises(st.InputError, match="^schedule document must be a JSON object$"):
         st.schedule_from_doc([])
-    with pytest.raises(st.InputError, match="^schedule document missing key 'chi_max'$"):
+    with pytest.raises(st.InputError, match="^schedule section missing 'chi_max'$"):
         st.schedule_from_doc({"theta": 1.0})
-    with pytest.raises(st.InputError, match="^schedule document missing key 'tau0'$"):
+    with pytest.raises(st.InputError, match="^schedule section missing 'tau0'$"):
         st.schedule_from_doc({"theta": 1.0, "chi_max": 0.1, "chis": [0.0]})
     with pytest.raises(st.InputError, match="^schedule document needs either 'chis' or 'taus'$"):
         st.schedule_from_doc({"tau0": 0.0, "theta": 1.0, "chi_max": 0.1})
     with pytest.raises(st.InputError, match="^schedule document has an empty 'taus' list$"):
         st.schedule_from_doc({"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "taus": []})
-    with pytest.raises(st.InputError, match="^schedule document has a value that is not a number"):
+    with pytest.raises(st.InputError, match="^schedule.chis has an invalid value 'abc'$"):
         st.schedule_from_doc({"tau0": 0.0, "theta": 1.0, "chi_max": 0.1, "chis": "abc"})
-    with pytest.raises(st.InputError, match="^schedule document has a value that is not a number"):
+    with pytest.raises(st.InputError, match="^schedule.theta has an invalid value None$"):
         st.schedule_from_doc({"tau0": 0.0, "theta": None, "chi_max": 0.1, "chis": [0.0]})
 
 
@@ -329,6 +365,6 @@ def test_doc_refuses_bools_and_strings(patch):
     if "taus" in patch:
         del doc["chis"]
     ((key, value),) = patch.items()
-    message = f"schedule document has a value that is not a number: {key} = {value!r}"
+    message = f"schedule.{key} has an invalid value {value!r}"
     with pytest.raises(st.InputError, match=f"^{re.escape(message)}$"):
         st.schedule_from_doc(doc)
