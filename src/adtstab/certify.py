@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .commutators import REL_TOL, _bound, _system, _walk
+from .commutators import NORM_CHUNK, REL_TOL, _bound, _System, _system, _walk
 from .errors import ConvergenceError, InputError
 from .linalg import (
     _diffusive_rate,
@@ -112,9 +112,16 @@ class CertificateProblem:
     {B, A^m}, whose terms the per-system memo forms once.  E and the lift's
     flow e^((theta - chi_max) A) come from one expm call; the lift
     amplification, a _bound over a walk of its own, is summed in evaluate,
-    which alone reads it.  omega defaults to the correction bound at
+    which alone reads it, taking the norms ||{B, A^m} E|| of the chunks
+    omega read in one call.  omega defaults to the correction bound at
     chi_max; an explicit value poses the inequality for that omega instead.
     A rate times theta that leaves float64 raises ConvergenceError.
+
+    The margins of the P0s that search tries (the identity, then the Stein
+    P0) are remembered by their bits, and evaluate reads them back, so a
+    search then an evaluate forms each P0's margin once.  The system's own
+    record (commutators._system) gives rho(B), the spectral abscissa of A
+    and, for P0 = I, the norms ||B I||, ||B^T I|| and ||I||.
     """
 
     A: np.ndarray
@@ -129,6 +136,9 @@ class CertificateProblem:
     rate: float = field(init=False, repr=False)
     discount: float = field(init=False, repr=False)
     _lift_flow: np.ndarray = field(init=False, repr=False)
+    _lead: int = field(init=False, repr=False)
+    _record: _System = field(init=False, repr=False)
+    _margins: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         A, B = as_pair(self.A, self.B)
@@ -146,28 +156,35 @@ class CertificateProblem:
                 f"diffusive rate times theta overflowed at mu = {self.mu:g}, ell = {self.ell:g}"
             )
         phi = _jump_after_flow(B, E, self.theta)
-        omega = self.omega
+        omega, lead = self.omega, 1
         if omega is None:
-            omega = _bound(_walk(A, B, 2.0 * self.chi_max), "correction bound", 1)[1]
+            rows, omega = _bound(_walk(A, B, 2.0 * self.chi_max), "correction bound", 1)
+            lead = rows[-1][0] // NORM_CHUNK + 1  # the chunks omega read
         E.setflags(write=False)
         phi.setflags(write=False)
         for name, value in (
             ("A", A), ("B", B), ("omega", omega), ("E", E), ("phi", phi),
             ("rate", rate), ("discount", math.exp(-2.0 * rate * self.theta)),
-            ("_lift_flow", lift_flow),
+            ("_lift_flow", lift_flow), ("_lead", lead),
+            ("_record", _system(A.tobytes(), B.tobytes(), A.shape)),
         ):
             object.__setattr__(self, name, value)
 
     def lhs(self, P0: np.ndarray) -> np.ndarray:
         """Left side of the discounted jump inequality for a validated P0.
 
-        A left side that overflows float64 raises ConvergenceError.
+        A P0 with the identity's bits takes its norms from the system's
+        record.  A left side that overflows float64 raises ConvergenceError.
         """
         # a numpy scalar squares to inf where a Python float's ** would raise
         d, w = self.discount, np.float64(self.omega)
+        eye, eye_norms = self._record.eye
         with np.errstate(over="ignore", invalid="ignore"):
             # an overflowing B P0 has norm inf and so fails the check below
-            bp, btp, p = _norms2(np.stack([self.B @ P0, self.B.T @ P0, P0]))
+            if P0.tobytes() == eye:
+                bp, btp, p = eye_norms
+            else:
+                bp, btp, p = _norms2(np.stack([self.B @ P0, self.B.T @ P0, P0]))
             scale = 2.0 * w * max(bp, btp) + w**2 * p
             out = d * (self.phi.T @ P0 @ self.phi) + d * scale * (self.E.T @ self.E)
         if not np.all(np.isfinite(out)):
@@ -194,7 +211,7 @@ class CertificateProblem:
         number exceeds 2^53 (inf if singular); it costs n^4 memory and n^6 time.
         """
         n = self.A.shape[0]
-        if self.margin(np.eye(n)) > 0.0:
+        if self._tried(np.eye(n)) > 0.0:
             return np.eye(n)
         Q = self.E.T @ self.E + np.eye(n)
         a = math.sqrt(self.discount) * self.phi.T
@@ -207,7 +224,12 @@ class CertificateProblem:
         P = 0.5 * P + 0.5 * P.T  # halves first: a sum near the float64 limit overflows
         P = P / _norms2(P[None])[0]
         # P is exactly symmetric here, so eigvalsh reads it without a symmetry check
-        return P if np.linalg.eigvalsh(P)[0] > 0.0 and self.margin(P) > 0.0 else None
+        return P if np.linalg.eigvalsh(P)[0] > 0.0 and self._tried(P) > 0.0 else None
+
+    def _tried(self, P0: np.ndarray) -> float:
+        """margin(P0) of a P0 that search tries, remembered by its bits for evaluate."""
+        margin = self._margins[P0.tobytes()] = self.margin(P0)
+        return margin
 
     def evaluate(self, p0=None) -> CertificateReport:
         """Certificate verdict and diagnostics for P0 (identity by default).
@@ -217,13 +239,14 @@ class CertificateProblem:
         counts as below) and the jump inequality holds with positive margin.
         """
         A, B, theta, chi_max = self.A, self.B, self.theta, self.chi_max
-        lift = _bound(_walk(A, B, 2.0 * chi_max, self._lift_flow), "lift bound")[1]
+        lift = _bound(_walk(A, B, 2.0 * chi_max, self._lift_flow, self._lead), "lift bound")[1]
         p0 = np.eye(A.shape[0]) if p0 is None else check_spd(p0)
         log_threshold = self.rate * theta
         radius = _spectral_radius(self.phi)
         below = radius == 0.0 or math.log(radius) < log_threshold
-        margin = self.margin(p0)
-        system = _system(A.tobytes(), B.tobytes(), A.shape)
+        margin = self._margins.get(p0.tobytes())
+        if margin is None:
+            margin = self.margin(p0)
 
         return CertificateReport(
             certified=bool(below and margin > 0.0),
@@ -235,8 +258,8 @@ class CertificateProblem:
             p0=p0,
             # A - rate id is Hurwitz iff every eigenvalue of A lies left of
             # rate; forming A - rate id could overflow
-            shifted_a_hurwitz=system.a_abscissa < self.rate,
-            b_schur=system.b_radius < 1.0,
+            shifted_a_hurwitz=self._record.a_abscissa < self.rate,
+            b_schur=self._record.b_radius < 1.0,
             lift_amplification=lift,
             inputs={
                 "n": int(A.shape[0]),

@@ -17,10 +17,11 @@ the commutators, their coefficients s^m/m! and, NORM_CHUNK orders per call
 of linalg._norms2 (the one 2-norm kernel), their 2-norms.  The scalar bounds
 (the jump correction omega and the lift amplification) are one loop,
 _bound, over a walk of their own: it sums |s^m/m!| ||{B, A^m}||, or
-|s^m/m!| ||{B, A^m} E|| for the lift's flow E.  The walk is remembered per
-system: the terms {B, A^m} and their norms depend on A and B alone, so each
-is formed once per (A, B) in a 16-slot memo (_system) and read by every
-later walk, whatever its s.
+|s^m/m!| ||{B, A^m} E|| for the lift's flow E, whose norms over the chunks
+a certificate's omega read come from one _norms2 call.  The walk is
+remembered per system: the terms {B, A^m} and their norms depend on A and B
+alone, so each is formed once per (A, B) in a 16-slot memo (_system) and
+read by every later walk, whatever its s.
 
 Every matrix series is S(s) itself, summed from order 0 (the comparison
 jump at a shift s_k is S(s_k)), for a whole stack of arguments s_1..s_k
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from itertools import count, islice
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -94,8 +95,9 @@ class _System:
 
     chunks maps a chunk's first order to (terms, norms): the read-only
     (NORM_CHUNK, n, n) stack of {B, A^m} from that order on and its 2-norms.
-    The spectral abscissa max Re eig(A) and the spectral radius rho(B) are
-    taken on first read.
+    The spectral abscissa max Re eig(A), the spectral radius rho(B) and the
+    identity's bits with the norms ||B I||, ||B^T I||, ||I|| that
+    CertificateProblem.lhs reads for P0 = I are taken on first read.
     """
 
     def __init__(self, A: np.ndarray, B: np.ndarray):
@@ -109,6 +111,13 @@ class _System:
     @functools.cached_property
     def b_radius(self) -> float:
         return _spectral_radius(self.B)
+
+    @functools.cached_property
+    def eye(self) -> tuple[bytes, np.ndarray]:
+        I = np.eye(len(self.A))
+        norms = _norms2(np.stack([self.B @ I, self.B.T @ I, I]))
+        norms.setflags(write=False)
+        return I.tobytes(), norms
 
 
 @functools.lru_cache(maxsize=16)
@@ -135,7 +144,31 @@ def _chunk(system: _System, prev) -> tuple[np.ndarray, list[float]]:
     return terms, _norms2(terms).tolist()
 
 
-def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
+def _chunks(system: _System):
+    """Yield (terms, norms) for chunk k = 0, 1, ... of NORM_CHUNK orders,
+    read from system, or formed from the last term of chunk k - 1 and stored
+    there (up to order TERM_CAP)."""
+    terms = None
+    for first in count(0, NORM_CHUNK):
+        chunk = system.chunks.get(first)
+        if chunk is None:
+            chunk = _chunk(system, None if terms is None else terms[-1])
+            if first <= TERM_CAP:
+                chunk = system.chunks.setdefault(first, chunk)
+        terms = chunk[0]
+        yield chunk
+
+
+def _flowed(chunks, E: np.ndarray, lead: int):
+    """The chunks with the norms ||{B, A^m} E||: those of the first lead
+    chunks from one product and one _norms2 call, then a chunk's per call."""
+    head = np.concatenate([terms for terms, _stored in islice(chunks, lead)])
+    yield head, _norms2(head @ E).tolist()
+    for terms, _stored in chunks:
+        yield terms, _norms2(terms @ E).tolist()
+
+
+def _walk(A: np.ndarray, B: np.ndarray, s, E=None, lead: int = 1):
     """Yield (m, s^m/m!, {B, A^m}, norm) for m = 0, 1, ..., where norm is
     ||{B, A^m} E|| given E and ||{B, A^m}|| otherwise; s is a number (with
     Python float coefficients) or a 1-D stack.
@@ -147,23 +180,15 @@ def _walk(A: np.ndarray, B: np.ndarray, s, E=None):
     term of chunk k - 1 under the consumer's np.errstate and stored there
     (up to order TERM_CAP), with the bits a fresh walk would give.  Two walks
     that form the same chunk keep the first copy stored.  The coefficients
-    and, given E, the norms ||{B, A^m} E|| are taken per walk.
+    and, given E, the norms ||{B, A^m} E|| are taken per walk, those of the
+    first lead chunks (the ones a caller knows it reads) in one call.
     """
     system = _system(A.tobytes(), B.tobytes(), A.shape)
     coeff = np.ones_like(s) if isinstance(s, np.ndarray) else 1.0
-    terms = None
-    for first in count(0, NORM_CHUNK):
-        chunk = system.chunks.get(first)
-        if chunk is None:
-            chunk = _chunk(system, None if terms is None else terms[-1])
-            if first <= TERM_CAP:
-                chunk = system.chunks.setdefault(first, chunk)
-        terms, norms = chunk
-        if E is not None:
-            norms = _norms2(terms @ E).tolist()
-        for m, T, norm in zip(count(first), terms, norms):
-            yield m, coeff, T, norm
-            coeff = coeff * (s / (m + 1))
+    chunks = _chunks(system) if E is None else _flowed(_chunks(system), E, lead)
+    for m, (T, norm) in enumerate(chain.from_iterable(zip(*chunk) for chunk in chunks)):
+        yield m, coeff, T, norm
+        coeff = coeff * (s / (m + 1))
 
 
 def _bound(walk, label: str, first: int = 0) -> tuple[list[tuple], float]:

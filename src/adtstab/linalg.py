@@ -9,6 +9,7 @@ Pade approximant, built on powers of A shared by every time in the stack.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -107,13 +108,37 @@ def _norms2(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
+@functools.lru_cache(maxsize=16)
+def _powers(m: bytes, shape) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """What expm reads of the coerced M with these bits and this shape: its
+    scale max |M_ij|, N = M / scale (M itself for a zero M), the read-only
+    stack N^6, N^4, N^2 and the squaring rate
+    max(||N^4||_1^(1/4), ||N^6||_1^(1/6)) / theta_13 (at least 2^-64).
+
+    Keyed on the bits, as commutators._system is, so an in-place edit of M
+    never reads stale powers; 16 slots of four n-by-n matrices.
+    """
+    M = np.frombuffer(m).reshape(shape)
+    scale = float(np.abs(M).max())
+    N = M / scale if scale else M
+    P = np.empty((3, *shape))  # N^6, N^4, N^2
+    np.matmul(N, N, out=P[2])
+    np.matmul(P[2], P[2], out=P[1])
+    np.matmul(P[1], P[2], out=P[0])
+    d6, d4 = np.abs(P[:2]).sum(axis=1).max(axis=1).tolist()
+    N.setflags(write=False)
+    P.setflags(write=False)
+    return scale, N, P, max(max(d4**0.25, d6 ** (1 / 6)) / THETA_13, 2.0**-64)
+
+
 def expm(M, t: float | np.ndarray = 1.0) -> np.ndarray:
     """Matrix exponential e^(tM); for a 1-D array of times, the stack of e^(t_i M).
 
     Scaling and squaring on the degree-13 Pade approximant, with every
-    slice built from the powers N^2, N^4, N^6 of N = M / max |M_ij|, formed
-    once per call.  Slice i is squared s_i >= 0 times, the binary exponent
-    of |t_i| max |M_ij| max(||N^4||_1^(1/4), ||N^6||_1^(1/6)) / theta_13
+    slice built from the powers N^2, N^4, N^6 of N = M / max |M_ij|, which
+    _powers forms once per matrix and remembers in a 16-slot memo.  Slice i
+    is squared s_i >= 0 times, the binary exponent of
+    |t_i| max |M_ij| max(||N^4||_1^(1/4), ||N^6||_1^(1/6)) / theta_13
     (the bound of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3),
     2009), or more where needed to keep its scaled time below 2^64.  Every
     per-slice step is elementwise or one LAPACK/BLAS call per slice, so a
@@ -126,17 +151,10 @@ def expm(M, t: float | np.ndarray = 1.0) -> np.ndarray:
     if t.ndim > 1:
         raise InputError(f"t must be finite, one time or a 1-D array of times, got shape {t.shape}")
     ts, n = t.reshape(-1), len(M)
-    scale = float(np.abs(M).max())
+    scale, N, P, rate = _powers(M.tobytes(), M.shape)
     tmax = float(np.abs(ts).max(initial=0.0)) * scale  # nan for a nan time
     if not tmax < np.inf:
         _refuse(M, t, scale)
-    N = M / scale if scale else M
-    P = np.empty((3, n, n))  # N^6, N^4, N^2
-    np.matmul(N, N, out=P[2])
-    np.matmul(P[2], P[2], out=P[1])
-    np.matmul(P[1], P[2], out=P[0])
-    d6, d4 = np.abs(P[:2]).sum(axis=1).max(axis=1).tolist()
-    rate = max(max(d4**0.25, d6 ** (1 / 6)) / THETA_13, 2.0**-64)
     # slice i is squared s_i times, so that its scaled time c = t scale / 2^s
     # has |c| max(d4, d6) < theta_13 and |c| < 2^64; frexp gives the exponents
     c, squarings = ts * scale, math.frexp(tmax * rate)[1]

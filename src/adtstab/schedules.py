@@ -121,19 +121,21 @@ def generate(
     the schedule has the bits of such a rejection sampler.
     """
     _check_params(tau0, theta, chi_max, variant)
-    count = _whole(count, "count", 1, _INDEX_MAX)
+    count = _whole(count, "count", 1, _INDEX_MAX // 8)  # bytes of the float64 array
     rng = np.random.default_rng(_whole(seed, "seed", 0))
     lo = _lowest_deviation(chi_max, variant)
-    chis = [0.0]
-    for _ in range(1, count):
-        low = max(lo, math.nextafter(chis[-1] - theta, math.inf))  # tau_k > tau_(k-1)
-        chis.append(float(rng.uniform(low, chi_max)))
+    # allocated before the first draw: a count past memory raises MemoryError at once
+    chis = np.empty(count)
+    chis[0] = chi = 0.0
+    for k in range(1, count):
+        low = max(lo, math.nextafter(chi - theta, math.inf))  # tau_k > tau_(k-1)
+        chis[k] = chi = float(rng.uniform(low, chi_max))
     return ImpulseSchedule(
         tau0=float(tau0),
         theta=float(theta),
         chi_max=float(chi_max),
         variant=variant,
-        chis=tuple(chis),
+        chis=tuple(chis.tolist()),
     )
 
 

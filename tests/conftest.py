@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import adtstab as st
-from adtstab import certify, commutators
+from adtstab import certify, commutators, linalg
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -41,11 +41,12 @@ def ref_config_path():
 
 @pytest.fixture(autouse=True)
 def _fresh_problem_memo():
-    """Start every test without a remembered CertificateProblem or system
-    record, so a test that counts calls does not depend on which test ran
-    before it."""
+    """Start every test without a remembered CertificateProblem, system
+    record or matrix power, so a test that counts calls does not depend on
+    which test ran before it."""
     certify._memo.cache_clear()
     commutators._system.cache_clear()
+    linalg._powers.cache_clear()
 
 
 @pytest.fixture

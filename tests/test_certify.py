@@ -428,23 +428,48 @@ def _period_flows(flows, A, theta):
     ]
 
 
-def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls):
+# the identity wins at the reference point; the shear of
+# test_search_p0_finds_nonidentity_candidate needs the Stein P0; the
+# expanding jump of test_search_p0_returns_none_when_infeasible finds none
+SHEAR_POINT = (np.array([[0.0, 12.0], [0.0, 0.0]]), np.diag([0.3, 0.3]), 1.0, 0.0, 1.0, np.pi)
+INFEASIBLE_POINT = (np.zeros((2, 2)), np.diag([3.0, 3.0]), 0.01, 0.0, 1.0, np.pi)
+
+
+def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls, monkeypatch):
     # omega and the lift amplification each walk {B, A^m}, and the system
     # memo forms each chunk of it once; E and the lift's flow come from one
     # expm call, and the memo keys on the raw bits, so A and B are checked
-    # once, when the problem is built
-    point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
+    # once, when the problem is built; the margin of each P0 that search
+    # tries is formed once, and evaluate reads it back
     chunks = record_calls(commutators._chunk)
     flows = record_calls(linalg.expm)
     checks = record_calls(linalg.as_square_matrix)
-    p0 = st.search_p0(*point)
-    doc = st.evaluate_certificate(*point, p0=p0).to_doc()
-    system = commutators._system(ref.A.tobytes(), ref.B.tobytes(), ref.A.shape)
-    assert 0 < len(chunks) == len(system.chunks)
-    assert len(flows) == len(_period_flows(flows, ref.A, ref.theta)) == 1
-    names = [args[1] if len(args) > 1 else kwargs.get("name") for args, kwargs in checks]
-    assert names.count("A") == names.count("B") == 1
-    assert doc == st.CertificateProblem(*point).evaluate(p0).to_doc()
+    lhs = st.CertificateProblem.lhs
+    lefts = []
+
+    def recorded_lhs(problem, P0):
+        lefts.append(P0.tobytes())
+        return lhs(problem, P0)
+
+    monkeypatch.setattr(st.CertificateProblem, "lhs", recorded_lhs)
+    ref_point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
+    for point, tried, found in (
+        (ref_point, 1, "identity"), (SHEAR_POINT, 2, "stein"), (INFEASIBLE_POINT, 1, None),
+    ):
+        A, B, theta = point[:3]
+        for log in (chunks, flows, checks, lefts):
+            log.clear()
+        p0 = st.search_p0(*point)
+        doc = st.evaluate_certificate(*point, p0=p0).to_doc()
+        kind = None if p0 is None else "identity" if np.array_equal(p0, np.eye(2)) else "stein"
+        assert kind == found
+        assert len(lefts) == len(set(lefts)) == tried
+        system = commutators._system(A.tobytes(), B.tobytes(), A.shape)
+        assert 0 < len(chunks) == len(system.chunks)
+        assert len(flows) == len(_period_flows(flows, A, theta)) == 1
+        names = [args[1] if len(args) > 1 else kwargs.get("name") for args, kwargs in checks]
+        assert names.count("A") == names.count("B") == 1
+        assert doc == st.CertificateProblem(*point).evaluate(p0).to_doc()
 
 
 def test_only_evaluate_sums_the_lift_bound(ref, record_calls):

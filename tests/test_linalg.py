@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from adtstab import ConvergenceError, InputError
+from adtstab import ConvergenceError, InputError, linalg
 from adtstab.linalg import (
     check_spd,
     expm,
@@ -200,6 +200,25 @@ def test_expm_stack_shape_checks():
         expm(np.eye(2), [0.5, np.inf])
     with pytest.raises(InputError):
         spectral_norm(np.zeros((3, 2, 2)))
+
+
+def test_expm_memo_sees_an_in_place_edit_of_m(ref):
+    # the powers are remembered by M's bits, so an edit between two calls
+    # gives the result of a fresh call
+    M = ref.A.copy()
+    before = expm(M, [0.5, 1.0])
+    M[0, 1] += 0.5
+    after = expm(M, [0.5, 1.0])
+    linalg._powers.cache_clear()
+    assert after.tobytes() == expm(M.copy(), [0.5, 1.0]).tobytes()
+    assert not np.array_equal(after, before)
+
+
+def test_expm_memo_holds_at_most_16_matrices():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        expm(rng.uniform(-1, 1, (3, 3)), 0.5)
+    assert linalg._powers.cache_info().currsize == 16
 
 
 def test_spectral_radius_jordan_block():

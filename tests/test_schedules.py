@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import re
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as hs
 
 import adtstab as st
+from conftest import REPO_ROOT
 
 
 def test_generate_deterministic():
@@ -368,3 +373,55 @@ def test_doc_refuses_bools_and_strings(patch):
     message = f"schedule.{key} has an invalid value {value!r}"
     with pytest.raises(st.InputError, match=f"^{re.escape(message)}$"):
         st.schedule_from_doc(doc)
+
+
+# Each child runs under an address-space limit and a timeout.  A count drawn
+# one instant at a time would fill the limit before its MemoryError, so the
+# peak resident size tells a refusal before the first draw from one at the limit.
+_CHILD_AS_BYTES = 2**29
+_LIMITED_CHILD = """
+import resource, sys
+import adtstab
+from adtstab.cli import main
+try:
+    outcome = repr(eval(sys.argv[1]))
+except Exception as exc:
+    outcome = f"{type(exc).__name__}: {exc}"
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, outcome)  # KiB on Linux
+"""
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_AS_BYTES, _CHILD_AS_BYTES))
+
+
+def _limited(expression: str) -> tuple[int, str, str]:
+    """Evaluate expression in a child with adtstab and cli.main imported;
+    returns its peak resident MiB, its value or exception, and its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run(
+        [sys.executable, "-c", _LIMITED_CHILD, expression], env=env, capture_output=True,
+        text=True, timeout=20, preexec_fn=_limit_address_space,
+    )
+    peak, outcome = out.stdout.rstrip("\n").split(" ", 1)
+    return int(peak), outcome, out.stderr
+
+
+def test_huge_count_is_refused_before_the_first_draw(tmp_path, ref_config_path):
+    peak, outcome, _ = _limited("adtstab.generate_schedule(0.0, 1.0, 0.1, 10**18)")
+    assert outcome.startswith("MemoryError: ") and peak < 256
+    cfg = json.loads(ref_config_path.read_text(encoding="utf-8"))
+    cfg["schedule"]["count"] = 10**18
+    (tmp_path / "huge.json").write_text(json.dumps(cfg), encoding="utf-8")
+    args = ["gen-times", "--config", str(tmp_path / "huge.json")]
+    peak, outcome, stderr = _limited(f"main({args!r})")
+    assert (outcome, stderr) == ("2", "error: gen-times does not fit in memory\n")
+    assert peak < 256
+
+
+def test_count_past_the_array_byte_range_is_refused():
+    # 8 bytes an instant: a larger count cannot be one float64 array
+    top = np.iinfo(np.intp).max // 8
+    peak, outcome, _ = _limited(f"adtstab.generate_schedule(0.0, 1.0, 0.1, {top + 1})")
+    assert outcome == f"InputError: count must be in 1..{top}, got {top + 1}"
+    assert peak < 256
