@@ -387,7 +387,7 @@ try:
     outcome = repr(eval(sys.argv[1]))
 except Exception as exc:
     outcome = f"{type(exc).__name__}: {exc}"
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, outcome)  # KiB on Linux
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss // 1024, outcome)  # MiB: KiB on Linux
 """
 
 
