@@ -10,7 +10,6 @@ from .certify import (
     CertificateProblem,
     CertificateReport,
     evaluate_certificate,
-    inequality_lhs,
     monodromy,
     search_p0,
 )
@@ -21,19 +20,10 @@ from .commutators import (
     commutator_series_stack,
     correction_bound,
     correction_terms,
-    lift_bound,
     nested_commutators,
 )
 from .errors import ConvergenceError, InputError
-from .linalg import (
-    check_spd,
-    expm,
-    is_hurwitz,
-    is_schur,
-    min_eigenvalue_sym,
-    spectral_norm,
-    spectral_radius,
-)
+from .linalg import check_spd, expm
 from .schedules import (
     ADT,
     ADT_PLUS,
@@ -84,14 +74,9 @@ __all__ = [
     "evaluate_certificate",
     "expm",
     "generate_schedule",
-    "inequality_lhs",
-    "is_hurwitz",
-    "is_schur",
     "l2_norm",
-    "lift_bound",
     "lifted_initial",
     "matching_residual",
-    "min_eigenvalue_sym",
     "mode_csv",
     "mode_generator",
     "monodromy",
@@ -102,8 +87,6 @@ __all__ = [
     "simulate_comparison",
     "simulate_ode",
     "simulate_parabolic",
-    "spectral_norm",
-    "spectral_radius",
     "trajectory_to_csv",
     "validate_schedule",
 ]

@@ -13,13 +13,15 @@ saying so.  A companion spectral condition requires the radius of Phi to
 stay below exp(pi^2 mu^2 theta / ell^2); it is decided in log space,
 log rho(Phi) < pi^2 mu^2 theta / ell^2, so a strongly diffusive point whose
 threshold leaves float64 still gets a finite report.
+
+search_p0 and evaluate_certificate share the problem of the previous call
+at the same point (a one-slot linalg._bit_keyed memo), so a search then an
+evaluation forms omega and e^(theta A) once.
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +29,7 @@ import numpy as np
 from .commutators import NORM_CHUNK, REL_TOL, _bound, _System, _system, _walk
 from .errors import ConvergenceError, InputError
 from .linalg import (
+    _bit_keyed,
     _diffusive_rate,
     _norms2,
     _spectral_radius,
@@ -35,7 +38,7 @@ from .linalg import (
     check_spd,
     expm,
 )
-from .schedules import check_window
+from .schedules import _values, check_window
 
 NORM_CONVENTION = "max(|B P0|, |B^T P0|)"
 
@@ -43,7 +46,6 @@ __all__ = [
     "CertificateProblem",
     "CertificateReport",
     "monodromy",
-    "inequality_lhs",
     "evaluate_certificate",
     "search_p0",
 ]
@@ -113,9 +115,10 @@ class CertificateProblem:
     flow e^((theta - chi_max) A) come from one expm call; the lift
     amplification, a _bound over a walk of its own, is summed in evaluate,
     which alone reads it, taking the norms ||{B, A^m} E|| of the chunks
-    omega read in one call.  omega defaults to the correction bound at
-    chi_max; an explicit value poses the inequality for that omega instead.
-    A rate times theta that leaves float64 raises ConvergenceError.
+    omega read in one call.  theta, chi_max, mu and ell are read by
+    schedules._number, so a bool, a string, a container or None raises
+    InputError naming it.  A rate times theta that leaves float64 raises
+    ConvergenceError.
 
     The margins of the P0s that search tries (the identity, then the Stein
     P0) are remembered by their bits, and evaluate reads them back, so a
@@ -130,7 +133,7 @@ class CertificateProblem:
     chi_max: float
     mu: float
     ell: float
-    omega: float | None = None
+    omega: float = field(init=False)
     E: np.ndarray = field(init=False, repr=False)
     phi: np.ndarray = field(init=False, repr=False)
     rate: float = field(init=False, repr=False)
@@ -142,13 +145,11 @@ class CertificateProblem:
 
     def __post_init__(self):
         A, B = as_pair(self.A, self.B)
+        # floats whatever real type came in, as the memo keys them
+        for name, value in zip(_POINT, _point(self.theta, self.chi_max, self.mu, self.ell)):
+            object.__setattr__(self, name, value)
         check_positive(theta=self.theta, mu=self.mu, ell=self.ell)
         check_window(self.theta, self.chi_max)
-        # float64 arithmetic whatever scalar type came in, as the memo keys it
-        for name in ("theta", "chi_max", "mu", "ell"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.omega is not None and not (np.isfinite(self.omega) and self.omega >= 0.0):
-            raise InputError("omega must be finite and >= 0")
         E, lift_flow = expm(A, (self.theta, self.theta - self.chi_max))
         rate = _diffusive_rate(self.mu, self.ell)
         if not np.isfinite(rate * self.theta):
@@ -156,17 +157,15 @@ class CertificateProblem:
                 f"diffusive rate times theta overflowed at mu = {self.mu:g}, ell = {self.ell:g}"
             )
         phi = _jump_after_flow(B, E, self.theta)
-        omega, lead = self.omega, 1
-        if omega is None:
-            rows, omega = _bound(_walk(A, B, 2.0 * self.chi_max), "correction bound", 1)
-            lead = rows[-1][0] // NORM_CHUNK + 1  # the chunks omega read
+        rows, omega = _bound(_walk(A, B, 2.0 * self.chi_max), "correction bound", 1)
+        lead = rows[-1][0] // NORM_CHUNK + 1  # the chunks omega read
         E.setflags(write=False)
         phi.setflags(write=False)
         for name, value in (
             ("A", A), ("B", B), ("omega", omega), ("E", E), ("phi", phi),
             ("rate", rate), ("discount", math.exp(-2.0 * rate * self.theta)),
             ("_lift_flow", lift_flow), ("_lead", lead),
-            ("_record", _system(A.tobytes(), B.tobytes(), A.shape)),
+            ("_record", _system(A, B)),
         ):
             object.__setattr__(self, name, value)
 
@@ -241,6 +240,8 @@ class CertificateProblem:
         A, B, theta, chi_max = self.A, self.B, self.theta, self.chi_max
         lift = _bound(_walk(A, B, 2.0 * chi_max, self._lift_flow, self._lead), "lift bound")[1]
         p0 = np.eye(A.shape[0]) if p0 is None else check_spd(p0)
+        if p0.shape != A.shape:
+            raise InputError(f"P0 must have the shape of A, {A.shape}, got {p0.shape}")
         log_threshold = self.rate * theta
         radius = _spectral_radius(self.phi)
         below = radius == 0.0 or math.log(radius) < log_threshold
@@ -274,33 +275,26 @@ class CertificateProblem:
         )
 
 
-@functools.lru_cache(maxsize=1)
-def _memo(a: bytes, a_shape, b: bytes, b_shape, scalars: bytes) -> CertificateProblem:
-    # read-only views of the key's own bytes, so no caller array is shared
-    A, B = np.frombuffer(a).reshape(a_shape), np.frombuffer(b).reshape(b_shape)
-    return CertificateProblem(A, B, *struct.unpack(f"{len(scalars) // 8}d", scalars))
+_POINT = ("theta", "chi_max", "mu", "ell")
 
 
-def _problem(A, B, theta, chi_max, mu, ell, omega=None) -> CertificateProblem:
-    """The problem at one point, shared by consecutive calls at the same point.
-
-    A one-slot memo is keyed on the bits and shapes of the coerced A and B
-    and on the scalars' bits, so an in-place edit of A or a chi_max of -0.0
-    against 0.0 never reuses an entry; search_p0 then evaluate_certificate
-    check A and B and form omega and e^(theta A) once, on the miss.
-    """
-    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
-    scalars = (theta, chi_max, mu, ell) + (() if omega is None else (omega,))
-    packed = struct.pack(f"{len(scalars)}d", *scalars)
-    return _memo(A.tobytes(), A.shape, B.tobytes(), B.shape, packed)
+def _point(*values) -> tuple:
+    """theta, chi_max, mu and ell, each read by schedules._number as a float,
+    so a bool, a string, a container or None raises InputError naming it."""
+    if type(values[0]) is type(values[1]) is type(values[2]) is type(values[3]) is float:
+        return values  # each reads as itself; the full read would cost a stability_map cell ~2%
+    return tuple(_values(dict(zip(_POINT, values)), "certificate", *_POINT))
 
 
-def inequality_lhs(
-    P0, A, B, theta: float, mu: float, ell: float, omega: float
-) -> np.ndarray:
-    """Left side of the discounted jump inequality for a given omega."""
-    # chi_max enters the inequality only through omega, which is given here
-    return _problem(A, B, theta, 0.0, mu, ell, omega).lhs(check_spd(P0))
+_memo = _bit_keyed(maxsize=1, arrays=2)(CertificateProblem)
+
+
+def _problem(A, B, theta, chi_max, mu, ell) -> CertificateProblem:
+    """The problem at one point, shared by consecutive calls at the same
+    point: the scalars are read and A and B coerced before the one-slot memo
+    keys them."""
+    point = _point(theta, chi_max, mu, ell)
+    return _memo(np.asarray(A, dtype=float), np.asarray(B, dtype=float), *point)
 
 
 def evaluate_certificate(

@@ -18,10 +18,11 @@ of linalg._norms2 (the one 2-norm kernel), their 2-norms.  The scalar bounds
 (the jump correction omega and the lift amplification) are one loop,
 _bound, over a walk of their own: it sums |s^m/m!| ||{B, A^m}||, or
 |s^m/m!| ||{B, A^m} E|| for the lift's flow E, whose norms over the chunks
-a certificate's omega read come from one _norms2 call.  The walk is
-remembered per system: the terms {B, A^m} and their norms depend on A and B
-alone, so each is formed once per (A, B) in a 16-slot memo (_system) and
-read by every later walk, whatever its s.
+a certificate's omega read come from one _norms2 call; the certificate
+(certify.CertificateProblem) sums both.  The walk is remembered per system:
+the terms {B, A^m} and their norms depend on A and B alone, so each is
+formed once per (A, B) in a 16-slot memo (_system) and read by every later
+walk, whatever its s.
 
 Every matrix series is S(s) itself, summed from order 0 (the comparison
 jump at a shift s_k is S(s_k)), for a whole stack of arguments s_1..s_k
@@ -40,8 +41,8 @@ from itertools import chain, count, islice
 import numpy as np
 
 from .errors import ConvergenceError, InputError
-from .linalg import _norms2, _spectral_radius, as_pair, expm
-from .schedules import _INDEX_MAX, _whole, check_window
+from .linalg import _bit_keyed, _norms2, _spectral_radius, as_pair
+from .schedules import _INDEX_MAX, _whole
 
 TERM_CAP = 200
 REL_TOL = 1e-12
@@ -64,7 +65,6 @@ __all__ = [
     "commutator_series_stack",
     "correction_terms",
     "correction_bound",
-    "lift_bound",
 ]
 
 
@@ -120,17 +120,15 @@ class _System:
         return I.tobytes(), norms
 
 
-@functools.lru_cache(maxsize=16)
-def _system(a: bytes, b: bytes, shape) -> _System:
-    """The remembered record of the system whose coerced A and B have these
-    bits and this shape, so an in-place edit of A never reads a stale term.
+@_bit_keyed(maxsize=16, arrays=2)
+def _system(A: np.ndarray, B: np.ndarray) -> _System:
+    """The remembered record of the system with the coerced A and B.
 
-    A and B are read-only views of the key's own bytes.  A slot stores the
-    chunks that begin at order TERM_CAP or below, at most
+    A slot stores the chunks that begin at order TERM_CAP or below, at most
     TERM_CAP // NORM_CHUNK + 1 = 26 chunks of NORM_CHUNK n-by-n terms:
     106 KB at n = 8, so 16 slots hold under 2 MB.
     """
-    return _System(np.frombuffer(a).reshape(shape), np.frombuffer(b).reshape(shape))
+    return _System(A, B)
 
 
 def _chunk(system: _System, prev) -> tuple[np.ndarray, list[float]]:
@@ -183,7 +181,7 @@ def _walk(A: np.ndarray, B: np.ndarray, s, E=None, lead: int = 1):
     and, given E, the norms ||{B, A^m} E|| are taken per walk, those of the
     first lead chunks (the ones a caller knows it reads) in one call.
     """
-    system = _system(A.tobytes(), B.tobytes(), A.shape)
+    system = _system(A, B)
     coeff = np.ones_like(s) if isinstance(s, np.ndarray) else 1.0
     chunks = _chunks(system) if E is None else _flowed(_chunks(system), E, lead)
     for m, (T, norm) in enumerate(chain.from_iterable(zip(*chunk) for chunk in chunks)):
@@ -322,13 +320,3 @@ def correction_bound(A, B, chi_max: float) -> float:
     """Uniform norm bound omega for the comparison-jump correction."""
     return float(_correction(A, B, chi_max)[1])
 
-
-def lift_bound(A, B, theta: float, chi_max: float) -> float:
-    """Amplification bound mapping an initial state to its comparison lift.
-
-    Sums (2 chi_max)^m/m! * ||{B, A^m} e^((theta - chi_max) A)|| from m = 0.
-    """
-    A, B = as_pair(A, B)
-    check_window(theta, chi_max)
-    flow = expm(A, theta - chi_max)
-    return float(_bound(_walk(A, B, 2.0 * float(chi_max), flow), "lift bound")[1])

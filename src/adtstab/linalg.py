@@ -5,12 +5,16 @@ array of times, all for one matrix).  Eigenvalue, singular value and solve
 work goes to LAPACK via numpy; the operator 2-norm is the norm throughout.
 The matrix exponential is a stacked scaling and squaring on a degree-13
 Pade approximant, built on powers of A shared by every time in the stack.
+_bit_keyed is the one rule by which the package remembers a result: by the
+bits of its arguments.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 import math
+import struct
 
 import numpy as np
 
@@ -39,12 +43,44 @@ __all__ = [
     "check_positive",
     "check_spd",
     "expm",
-    "is_hurwitz",
-    "is_schur",
-    "min_eigenvalue_sym",
-    "spectral_norm",
-    "spectral_radius",
 ]
+
+
+def _bit_keyed(maxsize: int, arrays: int):
+    """Remember f(*arrays, *scalars) in an lru_cache of maxsize slots, keyed
+    on the bytes and shape of each of its first `arrays` (1 or 2) arguments,
+    float64 ndarrays, and on the float64 bits of the rest, packed in one
+    struct.pack.
+
+    An in-place edit of an array, or a -0.0 against a 0.0, takes a new slot.
+    f receives read-only views of the key's own bytes, so no caller array is
+    shared, and the scalars as floats.  The wrapper has the cache's
+    cache_clear and cache_info.
+    """
+
+    def decorate(f):
+        scalars = struct.Struct(f"{len(inspect.signature(f).parameters) - arrays}d")
+        pack = scalars.pack
+
+        @functools.lru_cache(maxsize=maxsize)
+        def remembered(*key):
+            views = [np.frombuffer(key[i]).reshape(key[i + 1]) for i in range(0, 2 * arrays, 2)]
+            return f(*views, *scalars.unpack(key[-1]))
+
+        # one key expression per arity: a loop over the arrays costs a memo
+        # hit about twice as much
+        if arrays == 1:
+            def call(M, *args):
+                return remembered(M.tobytes(), M.shape, pack(*args))
+        else:
+            def call(A, B, *args):
+                return remembered(A.tobytes(), A.shape, B.tobytes(), B.shape, pack(*args))
+
+        functools.update_wrapper(call, f, updated=())
+        call.cache_clear, call.cache_info = remembered.cache_clear, remembered.cache_info
+        return call
+
+    return decorate
 
 
 def as_square_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -108,20 +144,16 @@ def _norms2(stack: np.ndarray) -> np.ndarray:
     return norms
 
 
-@functools.lru_cache(maxsize=16)
-def _powers(m: bytes, shape) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """What expm reads of the coerced M with these bits and this shape: its
-    scale max |M_ij|, N = M / scale (M itself for a zero M), the read-only
-    stack N^6, N^4, N^2 and the squaring rate
-    max(||N^4||_1^(1/4), ||N^6||_1^(1/6)) / theta_13 (at least 2^-64).
-
-    Keyed on the bits, as commutators._system is, so an in-place edit of M
-    never reads stale powers; 16 slots of four n-by-n matrices.
+@_bit_keyed(maxsize=16, arrays=1)
+def _powers(M: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """What expm reads of the coerced M: its scale max |M_ij|, N = M / scale
+    (M itself for a zero M), the read-only stack N^6, N^4, N^2 and the
+    squaring rate max(||N^4||_1^(1/4), ||N^6||_1^(1/6)) / theta_13 (at least
+    2^-64); 16 slots of four n-by-n matrices.
     """
-    M = np.frombuffer(m).reshape(shape)
     scale = float(np.abs(M).max())
     N = M / scale if scale else M
-    P = np.empty((3, *shape))  # N^6, N^4, N^2
+    P = np.empty((3, *M.shape))  # N^6, N^4, N^2
     np.matmul(N, N, out=P[2])
     np.matmul(P[2], P[2], out=P[1])
     np.matmul(P[1], P[2], out=P[0])
@@ -151,7 +183,7 @@ def expm(M, t: float | np.ndarray = 1.0) -> np.ndarray:
     if t.ndim > 1:
         raise InputError(f"t must be finite, one time or a 1-D array of times, got shape {t.shape}")
     ts, n = t.reshape(-1), len(M)
-    scale, N, P, rate = _powers(M.tobytes(), M.shape)
+    scale, N, P, rate = _powers(M)
     tmax = float(np.abs(ts).max(initial=0.0)) * scale  # nan for a nan time
     if not tmax < np.inf:
         _refuse(M, t, scale)
@@ -201,46 +233,16 @@ def _spectral_radius(M: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(M))))
 
 
-def spectral_radius(M) -> float:
-    """Largest eigenvalue modulus."""
-    return _spectral_radius(as_square_matrix(M))
+def check_spd(P, name: str = "P0") -> np.ndarray:
+    """Validate a symmetric positive definite matrix and return it.
 
-
-def spectral_norm(M) -> float:
-    """Largest singular value (operator 2-norm), from _norms2."""
-    return float(_norms2(as_square_matrix(M)[None])[0])
-
-
-def _symmetric_min_eigenvalue(S: np.ndarray, name: str) -> float:
-    scale = float(np.max(np.abs(S)))
-    if float(np.max(np.abs(S - S.T))) > SYMMETRY_RTOL * scale:
+    P must be symmetric up to SYMMETRY_RTOL relative to its largest entry,
+    and the smallest eigenvalue of (P + P^T)/2 must be positive.
+    """
+    P = as_square_matrix(P, name)
+    if float(np.max(np.abs(P - P.T))) > SYMMETRY_RTOL * float(np.max(np.abs(P))):
         raise InputError(f"{name} is not symmetric within tolerance")
     # halves first: a sum near the float64 limit overflows
-    return float(np.linalg.eigvalsh(0.5 * S + 0.5 * S.T)[0])
-
-
-def min_eigenvalue_sym(S) -> float:
-    """Smallest eigenvalue of the symmetrized (S + S^T)/2.
-
-    S must be symmetric up to SYMMETRY_RTOL relative to its largest entry.
-    """
-    return _symmetric_min_eigenvalue(as_square_matrix(S, "S"), "matrix")
-
-
-def is_hurwitz(M) -> bool:
-    """True iff every eigenvalue has negative real part."""
-    M = as_square_matrix(M)
-    return bool(np.max(np.real(np.linalg.eigvals(M))) < 0.0)
-
-
-def is_schur(M) -> bool:
-    """True iff the spectral radius is below one."""
-    return spectral_radius(M) < 1.0
-
-
-def check_spd(P, name: str = "P0") -> np.ndarray:
-    """Validate a symmetric positive definite matrix and return it."""
-    P = as_square_matrix(P, name)
-    if _symmetric_min_eigenvalue(P, name) <= 0.0:
+    if np.linalg.eigvalsh(0.5 * P + 0.5 * P.T)[0] <= 0.0:
         raise InputError(f"{name} is not positive definite")
     return P

@@ -121,6 +121,7 @@ def generate(
     the schedule has the bits of such a rejection sampler.
     """
     _check_params(tau0, theta, chi_max, variant)
+    chi_max = float(chi_max) + 0.0  # -0.0 passes check_window: read as 0.0, it draws +0.0's bits
     count = _whole(count, "count", 1, _INDEX_MAX // 8)  # bytes of the float64 array
     rng = np.random.default_rng(_whole(seed, "seed", 0))
     lo = _lowest_deviation(chi_max, variant)
@@ -133,7 +134,7 @@ def generate(
     return ImpulseSchedule(
         tau0=float(tau0),
         theta=float(theta),
-        chi_max=float(chi_max),
+        chi_max=chi_max,
         variant=variant,
         chis=tuple(chis.tolist()),
     )

@@ -58,7 +58,7 @@ def test_criterion_2_reference_certificate():
     t0 = time.perf_counter()
     rep = st.evaluate_certificate(REF_A, REF_B, THETA, CHI_MAX, MU, ELL)
     elapsed = time.perf_counter() - t0
-    radius_b = st.spectral_radius(REF_B)
+    radius_b = np.max(np.abs(np.linalg.eigvals(REF_B)))
     checks = [
         rep.certified,
         np.log(rep.spectral_radius) < rep.log_threshold,
@@ -90,7 +90,7 @@ def test_criterion_3_flow_exchange_identity():
         t = float(rng.uniform(0.0, 2.0))
         E = st.expm(A, t)
         S = st.commutator_series(A, B, t)
-        resid = st.spectral_norm(B @ E - E @ S) / (1.0 + st.spectral_norm(B @ E))
+        resid = np.linalg.norm(B @ E - E @ S, 2) / (1.0 + np.linalg.norm(B @ E, 2))
         worst = max(worst, resid)
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-9 and elapsed < 5.0

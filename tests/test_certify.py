@@ -8,12 +8,10 @@ import scipy.linalg
 import adtstab as st
 from adtstab import commutators, linalg
 from adtstab.certify import NORM_CONVENTION
-from adtstab.linalg import min_eigenvalue_sym, spectral_norm
 
 
-def _margin(P, ref, omega):
-    lhs = st.inequality_lhs(P, ref.A, ref.B, ref.theta, ref.mu, ref.ell, omega)
-    return min_eigenvalue_sym(P - lhs)
+def _problem(ref, chi_max):
+    return st.CertificateProblem(ref.A, ref.B, ref.theta, chi_max, ref.mu, ref.ell)
 
 
 def test_monodromy_zero_generator(ref):
@@ -25,7 +23,7 @@ def test_monodromy_reference_values(ref):
     assert np.allclose(phi, [[0.673, 0.021], [-0.216, 0.069]], atol=1e-3)
     # det(B e^(theta A)) = det(B) exp(theta tr A)
     assert np.linalg.det(phi) == pytest.approx(0.31 * np.exp(-1.8), rel=1e-12)
-    assert st.spectral_radius(phi) == pytest.approx(0.6655245097612014, rel=1e-12)
+    assert np.max(np.abs(np.linalg.eigvals(phi))) == pytest.approx(0.6655245097612014, rel=1e-12)
 
 
 def test_monodromy_validation(ref):
@@ -37,7 +35,9 @@ def test_monodromy_validation(ref):
 
 def test_inequality_lhs_zero_omega_is_discounted_stein_map(ref):
     P = np.array([[2.0, 0.3], [0.3, 1.0]])
-    lhs = st.inequality_lhs(P, ref.A, ref.B, ref.theta, ref.mu, ref.ell, 0.0)
+    problem = _problem(ref, 0.0)  # omega = 0 at chi_max = 0
+    assert problem.omega == 0.0
+    lhs = problem.lhs(P)
     phi = st.monodromy(ref.A, ref.B, ref.theta)
     d = np.exp(-2.0 * (np.pi * ref.mu / ref.ell) ** 2 * ref.theta)
     assert np.allclose(lhs, d * phi.T @ P @ phi, rtol=1e-13, atol=1e-16)
@@ -47,30 +47,25 @@ def test_inequality_lhs_symmetric(ref):
     rng = np.random.default_rng(23)
     L = rng.standard_normal((2, 2))
     P = L.T @ L + 0.1 * np.eye(2)
-    lhs = st.inequality_lhs(P, ref.A, ref.B, ref.theta, ref.mu, ref.ell, 0.3)
+    lhs = _problem(ref, ref.chi_max).lhs(P)
     assert np.allclose(lhs, lhs.T, atol=1e-14)
-
-
-def test_inequality_lhs_rejects_bad_p0(ref):
-    with pytest.raises(st.InputError):
-        st.inequality_lhs(np.diag([1.0, -1.0]), ref.A, ref.B, ref.theta, ref.mu, ref.ell, 0.1)
-    with pytest.raises(st.InputError):
-        st.inequality_lhs(np.array([[1.0, 0.4], [0.0, 1.0]]), ref.A, ref.B, ref.theta, ref.mu, ref.ell, 0.1)
-    with pytest.raises(st.InputError):
-        st.inequality_lhs(np.eye(2), ref.A, ref.B, ref.theta, ref.mu, ref.ell, -0.1)
 
 
 def test_margin_scales_linearly_in_p0(ref):
     rng = np.random.default_rng(2)
     L = rng.standard_normal((2, 2))
     P = L.T @ L + 0.2 * np.eye(2)
-    base = _margin(P, ref, 0.17)
+    problem = _problem(ref, ref.chi_max)
+    base = problem.margin(P)
     for c in (0.5, 3.0):
-        assert _margin(c * P, ref, 0.17) == pytest.approx(c * base, rel=1e-10)
+        assert problem.margin(c * P) == pytest.approx(c * base, rel=1e-10)
 
 
 def test_margin_monotone_in_omega(ref):
-    margins = [_margin(np.eye(2), ref, w) for w in (0.0, 0.05, 0.1, 0.2, 0.4)]
+    problems = [_problem(ref, chi) for chi in (0.0, 0.02, 0.05, 0.1, 0.2, 0.4)]
+    omegas = [problem.omega for problem in problems]
+    assert omegas[0] == 0.0 and all(a < b for a, b in zip(omegas, omegas[1:]))
+    margins = [problem.margin(np.eye(2)) for problem in problems]
     assert all(a >= b - 1e-15 for a, b in zip(margins, margins[1:]))
 
 
@@ -221,6 +216,24 @@ def test_certificate_validation(ref):
         for entry in (st.search_p0, st.evaluate_certificate):
             with pytest.raises(st.InputError, match=message):
                 entry(A, B, *point)
+    # each scalar is read as a JSON number is: a bool, a string, a container
+    # or None is refused, by name, before the memo keys it
+    names = ("theta", "chi_max", "mu", "ell")
+    for i, name in enumerate(names):
+        for bad in ("1.0", None, True, [1.0]):
+            scalars = list(point)
+            scalars[i] = bad
+            for entry in (st.search_p0, st.evaluate_certificate, st.CertificateProblem):
+                with pytest.raises(st.InputError, match=rf"^certificate\.{name} has an invalid value"):
+                    entry(ref.A, ref.B, *scalars)
+    # a P0 is checked where it enters: symmetric, positive definite, A's shape
+    for p0, message in (
+        (np.diag([1.0, -1.0]), "^P0 is not positive definite$"),
+        (np.array([[1.0, 0.4], [0.0, 1.0]]), "^P0 is not symmetric within tolerance$"),
+        (np.eye(3), r"^P0 must have the shape of A, \(2, 2\), got \(3, 3\)$"),
+    ):
+        with pytest.raises(st.InputError, match=message):
+            st.evaluate_certificate(ref.A, ref.B, *point, p0=p0)
 
 
 def test_search_p0_prefers_identity(ref):
@@ -241,10 +254,9 @@ def test_search_p0_finds_nonidentity_candidate():
     found = st.search_p0(A, B, 1.0, 0.0, 1.0, ell, budget=32, seed=0)
     assert found is not None
     assert not np.allclose(found, np.eye(2))
-    assert spectral_norm(found) == pytest.approx(1.0, rel=1e-12)
-    omega = st.correction_bound(A, B, 0.0)
-    lhs = st.inequality_lhs(found, A, B, 1.0, 1.0, ell, omega)
-    assert min_eigenvalue_sym(found - lhs) > 0
+    assert np.linalg.norm(found, 2) == pytest.approx(1.0, rel=1e-12)
+    lhs = st.CertificateProblem(A, B, 1.0, 0.0, 1.0, ell).lhs(found)
+    assert np.linalg.eigvalsh(found - lhs)[0] > 0
     rep = st.evaluate_certificate(A, B, 1.0, 0.0, 1.0, ell, p0=found)
     assert rep.certified
 
@@ -411,8 +423,10 @@ def test_inequality_overflow_raises_convergence_error(magnitude, chi_max):
 def test_inequality_overflow_of_b_p0_raises_convergence_error(ref):
     # B, P0 and every factor are finite; B P0 is not
     B = np.array([[10.0, 0.3], [0.1, 9.0]])
-    with pytest.raises(st.ConvergenceError, match="^jump inequality overflowed at omega = 0.5$"):
-        st.inequality_lhs(1e308 * np.eye(2), ref.A, B, ref.theta, ref.mu, ref.ell, 0.5)
+    point = (ref.A, B, ref.theta, ref.chi_max, ref.mu, ref.ell)
+    omega = st.correction_bound(ref.A, B, ref.chi_max)
+    with pytest.raises(st.ConvergenceError, match=f"^jump inequality overflowed at omega = {omega:g}$"):
+        st.evaluate_certificate(*point, p0=1e308 * np.eye(2))
 
 
 def test_report_inputs_carry_fixed_series_settings(ref):
@@ -464,7 +478,7 @@ def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls, monkey
         kind = None if p0 is None else "identity" if np.array_equal(p0, np.eye(2)) else "stein"
         assert kind == found
         assert len(lefts) == len(set(lefts)) == tried
-        system = commutators._system(A.tobytes(), B.tobytes(), A.shape)
+        system = commutators._system(A, B)
         assert 0 < len(chunks) == len(system.chunks)
         assert len(flows) == len(_period_flows(flows, A, theta)) == 1
         names = [args[1] if len(args) > 1 else kwargs.get("name") for args, kwargs in checks]
@@ -473,17 +487,16 @@ def test_search_then_evaluate_form_omega_and_flow_once(ref, record_calls, monkey
 
 
 def test_only_evaluate_sums_the_lift_bound(ref, record_calls):
-    # the lift amplification is a report diagnostic: a problem posed for an
-    # explicit omega or a P0 search never reads it
+    # the lift amplification is a report diagnostic: building a problem or
+    # its P0 search never reads it
     point = (ref.A, ref.B, ref.theta, ref.chi_max, ref.mu, ref.ell)
     bounds = record_calls(commutators._bound)
 
     def lifts():
         return [args[1] for args, _ in bounds].count("lift bound")
 
-    st.inequality_lhs(np.eye(2), ref.A, ref.B, ref.theta, ref.mu, ref.ell, 0.5)
-    assert lifts() == 0
     problem = st.CertificateProblem(*point)
+    assert lifts() == 0
     p0 = problem.search()
     assert lifts() == 0
     problem.evaluate(p0)
@@ -500,15 +513,10 @@ def test_problem_memo_sees_an_in_place_edit_of_a(ref):
     assert doc == fresh.evaluate(p0).to_doc()
 
 
-def test_problem_memo_tells_signed_zeros_and_omega_apart(ref):
+def test_problem_memo_tells_signed_zeros_apart(ref):
     for chi_max in (0.0, -0.0, 0.0):
         doc = st.evaluate_certificate(ref.A, ref.B, ref.theta, chi_max, ref.mu, ref.ell).to_doc()
         assert math.copysign(1.0, doc["inputs"]["chi_max"]) == math.copysign(1.0, chi_max)
-    # the same point with an explicit omega poses a different inequality
-    P = np.eye(2)
-    lhs = st.inequality_lhs(P, ref.A, ref.B, ref.theta, ref.mu, ref.ell, 0.5)
-    expected = st.CertificateProblem(ref.A, ref.B, ref.theta, 0.0, ref.mu, ref.ell, omega=0.5)
-    assert np.array_equal(lhs, expected.lhs(P))
 
 
 def test_report_phi_write_leaves_the_next_report_alone(ref):

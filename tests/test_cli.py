@@ -290,7 +290,7 @@ def test_certify_forms_omega_and_flow_once(ref_config_path, tmp_path, record_cal
         if theta in np.atleast_1d(args[1] if len(args) > 1 else kwargs.get("t", 1.0))
         and np.array_equal(args[0], A)
     ]
-    system = commutators._system(A.tobytes(), B.tobytes(), A.shape)
+    system = commutators._system(A, B)
     assert 0 < len(chunks) == len(system.chunks)
     assert len(flows) == len(period_flows) == 1
 
@@ -314,7 +314,7 @@ def test_commutators_table(ref_config_path, tmp_path):
     assert len(lines) == 14  # orders 0..12 from the bundled config
     B = np.array([[0.2, 0.1], [-0.1, 1.5]])
     assert float(lines[1].split(",")[1]) == pytest.approx(
-        st.spectral_norm(B), rel=1e-12
+        np.linalg.norm(B, 2), rel=1e-12
     )
 
 
@@ -673,6 +673,21 @@ def test_generator_keys_other_than_tau0_have_no_default(tmp_path, capsys):
                 patches = {**section, f"schedule.{key}": None}
                 assert run(sub, patches, "missing.json")[0] == 2, (section, key, sub)
                 assert capsys.readouterr().err == f"error: schedule section missing {key!r}\n"
+
+
+def test_negative_zero_deviation_bound_runs_as_zero(tmp_path):
+    # -0.0 passes 0 <= chi_max; each subcommand that draws a schedule writes
+    # what it writes at +0.0
+    for sub in ("gen-times", "simulate", "mr-check"):
+        outs = []
+        for chi_max in (-0.0, 0.0):
+            name = f"{sub}{chi_max}"
+            path = _patched_config(BUNDLED_CONFIG, tmp_path, {"run.t_end": 2.0, "schedule.chi_max": chi_max},
+                                   name=f"{name}.json")
+            out = tmp_path / f"{name}.out"
+            assert main([sub, "--config", str(path), "--output", str(out), "--quiet"]) == 0, sub
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1], sub
 
 
 def test_gen_times_reports_initial_deviation_as_a_number(tmp_path, capsys):

@@ -4,16 +4,12 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as hs
 
-from adtstab import ConvergenceError, InputError, linalg
-from adtstab.linalg import (
-    check_spd,
-    expm,
-    is_hurwitz,
-    is_schur,
-    min_eigenvalue_sym,
-    spectral_norm,
-    spectral_radius,
-)
+from adtstab import ConvergenceError, InputError, evaluate_certificate, linalg
+from adtstab.linalg import _norms2, _spectral_radius, check_spd, expm
+
+
+def _norm2(M):
+    return float(_norms2(np.asarray(M, dtype=float)[None])[0])
 
 
 def test_expm_zero_matrix_is_identity():
@@ -199,7 +195,7 @@ def test_expm_stack_shape_checks():
     with pytest.raises(InputError, match="^t must be finite"):
         expm(np.eye(2), [0.5, np.inf])
     with pytest.raises(InputError):
-        spectral_norm(np.zeros((3, 2, 2)))
+        check_spd(np.zeros((3, 2, 2)))
 
 
 def test_expm_memo_sees_an_in_place_edit_of_m(ref):
@@ -222,13 +218,13 @@ def test_expm_memo_holds_at_most_16_matrices():
 
 
 def test_spectral_radius_jordan_block():
-    assert spectral_radius(np.array([[0.5, 1.0], [0.0, 0.5]])) == pytest.approx(0.5, rel=1e-12)
+    assert _spectral_radius(np.array([[0.5, 1.0], [0.0, 0.5]])) == pytest.approx(0.5, rel=1e-12)
 
 
 def test_spectral_radius_rotation():
     a = 0.7
     R = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-    assert spectral_radius(R) == pytest.approx(1.0, rel=1e-12)
+    assert _spectral_radius(R) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_spectral_radius_bounded_by_norm():
@@ -236,17 +232,17 @@ def test_spectral_radius_bounded_by_norm():
     for _ in range(20):
         n = int(rng.integers(2, 6))
         M = rng.uniform(-3, 3, (n, n))
-        assert spectral_radius(M) <= spectral_norm(M) * (1 + 1e-12)
+        assert _spectral_radius(M) <= _norm2(M) * (1 + 1e-12)
 
 
 def test_spectral_norm_diagonal():
-    assert spectral_norm(np.diag([1.0, -4.0, 2.0])) == pytest.approx(4.0, rel=1e-14)
+    assert _norm2(np.diag([1.0, -4.0, 2.0])) == pytest.approx(4.0, rel=1e-14)
 
 
 def test_spectral_norm_transpose_invariant():
     rng = np.random.default_rng(17)
     M = rng.uniform(-2, 2, (5, 5))
-    assert spectral_norm(M) == pytest.approx(spectral_norm(M.T), rel=1e-13)
+    assert _norm2(M) == pytest.approx(_norm2(M.T), rel=1e-13)
 
 
 def test_spectral_norm_reference_commutator(ref):
@@ -256,12 +252,15 @@ def test_spectral_norm_reference_commutator(ref):
     G = C.T @ C
     half = 0.5 * np.trace(G)
     disc = np.sqrt(half**2 - np.linalg.det(G))
-    assert spectral_norm(C) == pytest.approx(np.sqrt(half + disc), rel=1e-13)
-    assert spectral_norm(C) == pytest.approx(0.5505, abs=5e-5)
+    assert _norm2(C) == pytest.approx(np.sqrt(half + disc), rel=1e-13)
+    assert _norm2(C) == pytest.approx(0.5505, abs=5e-5)
 
 
 def test_min_eigenvalue_diagonal():
-    assert min_eigenvalue_sym(np.diag([3.0, -1.0, 2.0])) == pytest.approx(-1.0, rel=1e-14)
+    # check_spd decides on the smallest eigenvalue of the symmetric part
+    with pytest.raises(InputError, match="^S is not positive definite$"):
+        check_spd(np.diag([3.0, -1.0, 2.0]), "S")
+    assert np.array_equal(check_spd(np.diag([3.0, 1e-300, 2.0])), np.diag([3.0, 1e-300, 2.0]))
 
 
 def test_min_eigenvalue_reference_gram(ref):
@@ -269,13 +268,17 @@ def test_min_eigenvalue_reference_gram(ref):
     assert np.allclose(G, [[0.05, -0.13], [-0.13, 2.26]], atol=1e-15)
     half = 0.5 * np.trace(G)
     disc = np.sqrt(half**2 - np.linalg.det(G))
-    assert min_eigenvalue_sym(G) == pytest.approx(half - disc, rel=1e-12)
-    assert min_eigenvalue_sym(G) == pytest.approx(0.0424, abs=5e-5)
+    low = half - disc
+    assert low == pytest.approx(0.0424, abs=5e-5)
+    # G - c id is positive definite iff c is below G's smallest eigenvalue
+    check_spd(G - 0.999 * low * np.eye(2))
+    with pytest.raises(InputError, match="not positive definite"):
+        check_spd(G - 1.001 * low * np.eye(2))
 
 
 def test_min_eigenvalue_rejects_asymmetric():
-    with pytest.raises(InputError):
-        min_eigenvalue_sym(np.array([[1.0, 0.5], [0.0, 1.0]]))
+    with pytest.raises(InputError, match="^P0 is not symmetric within tolerance$"):
+        check_spd(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
 
 def test_positive_definite_iff_cholesky_succeeds():
@@ -292,32 +295,46 @@ def test_positive_definite_iff_cholesky_succeeds():
             chol_ok = True
         except np.linalg.LinAlgError:
             chol_ok = False
-        assert (min_eigenvalue_sym(S) > 0) == chol_ok
+        try:
+            check_spd(S)
+            spd = True
+        except InputError:
+            spd = False
+        assert spd == chol_ok
+
+
+def _shifted_a_hurwitz(A, B, mu):
+    """The report's shifted_a_hurwitz: A - mu^2 pi^2 / ell^2 id Hurwitz, at ell = pi."""
+    return evaluate_certificate(A, B, 1.0, 0.0, mu, np.pi).shifted_a_hurwitz
 
 
 def test_hurwitz_cases(ref):
-    assert is_hurwitz(np.diag([-1.0, -0.5]))
-    assert not is_hurwitz(np.diag([-1.0, 0.0]))
-    assert not is_hurwitz(ref.A)
-    assert not is_hurwitz(ref.A - np.eye(2))
-    assert is_hurwitz(ref.A - 1.3 * np.eye(2))
+    # at mu = 1 and ell = pi the shift is exactly 1
+    assert _shifted_a_hurwitz(np.diag([-1.0, -0.5]), ref.B, 1e-3)
+    assert not _shifted_a_hurwitz(np.diag([-1.0, 1.0]), ref.B, 1.0)
+    assert not _shifted_a_hurwitz(ref.A, ref.B, 1e-3)
+    assert not _shifted_a_hurwitz(ref.A, ref.B, 1.0)
+    assert _shifted_a_hurwitz(ref.A, ref.B, np.sqrt(1.3))
 
 
 def test_schur_cases(ref):
-    assert is_schur(0.5 * np.eye(2))
-    assert not is_schur(np.eye(2))
-    assert not is_schur(ref.B)
+    def b_schur(B):
+        return evaluate_certificate(ref.A, B, 1.0, 0.0, 1.0, np.pi).b_schur
+
+    assert b_schur(0.5 * np.eye(2))
+    assert not b_schur(np.eye(2))
+    assert not b_schur(ref.B)
     # characteristic polynomial x^2 - 1.7 x + 0.31 gives the radius exactly
     closed = (1.7 + np.sqrt(1.7**2 - 4 * 0.31)) / 2
-    assert spectral_radius(ref.B) == pytest.approx(closed, rel=1e-12)
-    assert spectral_radius(ref.B) == pytest.approx(1.492, abs=5e-4)
+    assert _spectral_radius(ref.B) == pytest.approx(closed, rel=1e-12)
+    assert _spectral_radius(ref.B) == pytest.approx(1.492, abs=5e-4)
 
 
 def test_rejects_bad_shapes_and_values():
     with pytest.raises(InputError):
-        spectral_norm(np.zeros((2, 3)))
+        check_spd(np.zeros((2, 3)))
     with pytest.raises(InputError):
-        spectral_radius(np.zeros((0, 0)))
+        check_spd(np.zeros((0, 0)))
     with pytest.raises(InputError):
         expm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(InputError):
@@ -336,4 +353,3 @@ def test_check_spd():
     # so no overflow warning (an error under pytest) and no inf entries
     big = 1e308 * np.eye(2)
     assert np.array_equal(check_spd(big), big)
-    assert min_eigenvalue_sym(big) == 1e308

@@ -55,6 +55,15 @@ def test_generate_rejection_path_deterministic():
     assert a == b
 
 
+def test_generate_reads_a_negative_zero_deviation_bound_as_zero():
+    # -0.0 passes 0 <= chi_max; the schedule has the bits of +0.0's (json
+    # writes -0.0 as "-0.0"), for both variants
+    for variant in (st.ADT, st.ADT_PLUS):
+        schedules = [st.generate_schedule(0.0, 1.0, c, 3, variant, seed=1) for c in (-0.0, 0.0)]
+        negative, zero = (json.dumps(st.schedule_to_doc(s)) for s in schedules)
+        assert negative == zero
+
+
 def test_generate_parameter_validation():
     with pytest.raises(st.InputError):
         st.generate_schedule(0.0, 1.0, 1.0, 5)
