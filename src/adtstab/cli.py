@@ -4,9 +4,10 @@ Subcommands: certify, simulate, omega, mr-check, gen-times, commutators.
 Each cmd_* takes the parsed config and the --seed override and returns its
 artifact text, a one-line summary and its exit code: 0 on success/certified,
 1 on an honest negative.  main reads the config (--config) and writes the
-artifact (to --output, or stdout) and the summary; cmd_simulate also writes
-the mode_NNN.csv files of run.per_mode_dir.  Invalid input, and a run that
-does not fit in memory, exit 2.
+artifact (to --output, or stdout) and the summary.  cmd_simulate also returns
+the mode_NNN.csv files of run.per_mode_dir, as a path -> text dict, and main
+writes them after the artifact, so a failed --output write leaves none of
+them behind.  Invalid input, and a run that does not fit in memory, exit 2.
 """
 
 from __future__ import annotations
@@ -28,12 +29,13 @@ from .schedules import (
 from .serialize import dumps, fmt
 from .simulate import (
     ParabolicModel,
+    _lead,
+    _mode_csvs,
+    _trajectory_csv,
     l2_norm,
     matching_residual,
-    mode_csv,
     simulate_ode,
     simulate_parabolic,
-    trajectory_to_csv,
 )
 from .systems import ImpulsiveSystem
 
@@ -158,13 +160,14 @@ def cmd_certify(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
     return dumps(report.to_doc()), summary, 0 if report.certified else 1
 
 
-def cmd_simulate(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
+def cmd_simulate(cfg: dict, seed_override: int | None) -> tuple[str, str, int, dict]:
     system = _config_system(cfg)
     schedule = _config_schedule(cfg, seed_override)
     run = _run(cfg)
     t_end, sample_dt = _values(run, "run", "t_end", "sample_dt")
     seed = _seed(run, "run", seed_override)
 
+    out_dir = None
     if "pde" in cfg:
         model = _config_model(cfg, system)
         init = _initial(
@@ -173,20 +176,21 @@ def cmd_simulate(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
         traj = simulate_parabolic(model, schedule, init, t_end, sample_dt)
         if "per_mode_dir" in run:
             (out_dir,) = _values(run, "run", "per_mode_dir", kind=Path)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for j in range(1, model.n_modes + 1):
-                (out_dir / f"mode_{j:03d}.csv").write_text(
-                    mode_csv(traj, j), encoding="utf-8"
-                )
     else:
         x0 = _initial(run, "x0", system.n, seed, np.linalg.norm)
         traj = simulate_ode(system, schedule, x0, t_end, sample_dt)
 
+    # the mode files share the artifact's t and is_post_jump cells
+    lead = _lead(traj, shared=out_dir is not None)
+    files = {}
+    if out_dir is not None:
+        for j, text in enumerate(_mode_csvs(traj, slice(None), lead), 1):
+            files[out_dir / f"mode_{j:03d}.csv"] = text
     summary = (
         f"{len(traj.times)} samples, {len(traj.jump_indices)} impulses, "
         f"final norm {traj.norms[-1]:.6g}"
     )
-    return trajectory_to_csv(traj), summary, 0
+    return _trajectory_csv(traj, lead), summary, 0, files
 
 
 def cmd_omega(cfg: dict, seed_override: int | None) -> tuple[str, str, int]:
@@ -252,13 +256,19 @@ def main(argv=None) -> int:
     parser.add_argument("--quiet", action="store_true", help="suppress progress chatter")
     args = parser.parse_args(argv)
     try:
-        text, summary, code = commands[args.command][0](_load_config(args.config), args.seed)
+        # cmd_simulate's mode files come fourth, and are written after the artifact
+        text, summary, code, *files = commands[args.command][0](
+            _load_config(args.config), args.seed
+        )
         if args.output:
             Path(args.output).write_text(text, encoding="utf-8")
-            if not args.quiet:
-                print(summary)
         else:
             sys.stdout.write(text)
+        for path, body in dict(*files).items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(body, encoding="utf-8")
+        if args.output and not args.quiet:
+            print(summary)
     except (InputError, ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,7 +6,11 @@ error beyond the accuracy of expm itself.  Every event's offset dt from
 its segment's post-jump time is taken up front, and the flows at each
 FLOW_BLOCK consecutive offsets of a run come from one expm(A, dts) call,
 across segment boundaries; states go into one preallocated array, and
-norms and CSV rows are formed per array, not per state.  Three simulators
+norms and CSV rows are formed per array, not per state.  The CSVs of one
+run share their t and is_post_jump cells, formatted once (_lead), and all
+its modes' norms come from one call, so each file formats only its own
+norm and value cells; trajectory_to_csv and mode_csv are the one-file
+case of the same row writer.  Three simulators
 are provided: the original system on its jittered schedule, the
 dwell-normalized comparison system on the uniform grid, and a parabolic
 model whose sine modes evolve independently under shifted generators.
@@ -395,17 +399,54 @@ def simulate_parabolic(
     )
 
 
-def _csv(header: str, times, norms, post_rows, values: np.ndarray) -> str:
-    """CSV rows t,norm,is_post_jump,values... with 17-significant-digit floats;
-    a non-finite entry raises fmt's ValueError, naming the first one."""
-    M = np.column_stack([times, norms, np.zeros(len(times)), values])
-    M[post_rows, 2] = 1.0
-    bad = np.flatnonzero(~np.isfinite(M))
-    if bad.size:
-        fmt(M.flat[bad[0]])  # raises
+def _lead(traj: Trajectory, shared: bool = False):
+    """The lead of traj's CSV rows: its times, the row template's
+    t,norm,is_post_jump part, and the t and is_post_jump columns it fills.
+    For one file the columns are numbers, formatted by the template; shared
+    by several files of the run, they are cells formatted once, which the
+    template inserts as they are."""
+    post = np.zeros(len(traj.times), dtype=int)
+    post[traj.jump_indices] = 1
+    t, post = traj.times.tolist(), post.tolist()
+    if not shared:
+        return traj.times, "%.17g,%.17g,%d", t, post
+    return traj.times, "%s,%.17g,%s", list(map("%.17g".__mod__, t)), list(map(str, post))
+
+
+def _csv(header: str, lead, norms: np.ndarray, values: np.ndarray) -> str:
+    """CSV rows t,norm,is_post_jump,values... with 17-significant-digit floats,
+    the t and is_post_jump columns taken from lead (see _lead); a non-finite
+    entry raises fmt's ValueError, naming the first one."""
+    times, template, t, post = lead
+    if not (np.isfinite(norms).all() and np.isfinite(values).all() and np.isfinite(times).all()):
+        M = np.column_stack([times, norms, values])
+        fmt(M.flat[np.flatnonzero(~np.isfinite(M))[0]])  # raises
     # "%.17g" % v is format(v, ".17g"), -0.0 and subnormals included
-    row = ",".join(["%.17g", "%.17g", "%d"] + ["%.17g"] * values.shape[1])
-    return "\n".join([header, *(row % r for r in map(tuple, M.tolist()))]) + "\n"
+    row = template + ",%.17g" * values.shape[1]
+    rows = map(row.__mod__, zip(t, norms.tolist(), post, *values.T.tolist()))
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _trajectory_csv(traj: Trajectory, lead) -> str:
+    """trajectory_to_csv(traj), its t and is_post_jump columns taken from lead."""
+    if traj.states.ndim == 2:
+        n = traj.states.shape[1]
+        header = "t,norm,is_post_jump," + ",".join(f"state_{i}" for i in range(n))
+        values = traj.states
+    else:
+        header = "t,l2_norm,is_post_jump"
+        values = np.empty((len(traj.times), 0))
+    return _csv(header, lead, traj.norms, values)
+
+
+def _mode_csvs(traj: Trajectory, modes: slice, lead) -> list[str]:
+    """mode_csv(traj, j) for each mode j whose index j - 1 the slice modes
+    picks, the t and is_post_jump columns taken from lead and the norms of
+    all those modes from one call."""
+    C = traj.states[:, modes]
+    norms = _rescaled(C.reshape(-1, C.shape[2]), _vector_norms).reshape(C.shape[:2])
+    header = "t,norm,is_post_jump," + ",".join(f"c_{i}" for i in range(C.shape[2]))
+    return [_csv(header, lead, norms[:, k], C[:, k]) for k in range(C.shape[1])]
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -414,20 +455,12 @@ def trajectory_to_csv(traj: Trajectory) -> str:
     Vector runs emit t,norm,is_post_jump,state_0..state_{n-1}; parabolic
     runs emit t,l2_norm,is_post_jump (per-mode data goes through mode_csv).
     """
-    if traj.states.ndim == 2:
-        n = traj.states.shape[1]
-        header = "t,norm,is_post_jump," + ",".join(f"state_{i}" for i in range(n))
-        values = traj.states
-    else:
-        header = "t,l2_norm,is_post_jump"
-        values = np.empty((len(traj.times), 0))
-    return _csv(header, traj.times, traj.norms, traj.jump_indices, values)
+    return _trajectory_csv(traj, _lead(traj))
 
 
 def mode_csv(traj: Trajectory, j: int) -> str:
     """Per-mode CSV t,norm,is_post_jump,c_0..c_{n-1} for sine mode j."""
     if traj.states.ndim != 3:
         raise InputError("mode_csv needs a parabolic trajectory")
-    C = traj.states[:, _whole(j, "mode index j", 1, traj.states.shape[1]) - 1]
-    header = "t,norm,is_post_jump," + ",".join(f"c_{i}" for i in range(C.shape[1]))
-    return _csv(header, traj.times, _rescaled(C, _vector_norms), traj.jump_indices, C)
+    j = _whole(j, "mode index j", 1, traj.states.shape[1])
+    return _mode_csvs(traj, slice(j - 1, j), _lead(traj))[0]

@@ -218,6 +218,62 @@ def test_simulate_per_mode_exports(ref_config_path, tmp_path):
     assert head == "t,norm,is_post_jump,c_0,c_1"
 
 
+def test_simulate_failed_output_writes_no_mode_file(ref_config_path, tmp_path, capsys):
+    mode_dir = tmp_path / "modes"
+    cfg = _patched_config(
+        ref_config_path, tmp_path, {"run.per_mode_dir": str(mode_dir), "run.t_end": 3.0}
+    )
+    out = tmp_path / "missing" / "traj.csv"
+    assert main(["simulate", "--config", str(cfg), "--output", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("error: [Errno 2] ")
+    assert not out.exists()
+    assert not list(tmp_path.rglob("mode_*.csv"))
+
+
+def test_simulate_failed_mode_file_keeps_the_artifact(ref_config_path, tmp_path, capsys):
+    # per_mode_dir is a file: the artifact is written first, then no mode file can be
+    blocker = tmp_path / "modes"
+    blocker.write_text("", encoding="utf-8")
+    cfg = _patched_config(
+        ref_config_path, tmp_path, {"run.per_mode_dir": str(blocker), "run.t_end": 3.0}
+    )
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert out.read_text(encoding="utf-8").startswith("t,l2_norm,is_post_jump\n")
+
+
+def test_simulate_n3_files_equal_the_library_writers(tmp_path):
+    # the golden files pin n = 2; this run has n = 3, its own pde section and a --seed
+    A = [-0.5, 0.2, 0.0, 0.1, -1.0, 0.3, 0.0, -0.2, 0.4]
+    B = [0.9, 0.1, 0.0, 0.0, 0.8, -0.1, 0.2, 0.0, 1.1]
+    cfg = {
+        "system": {"n": 3, "A": A, "B": B},
+        "pde": {"mu": 0.5, "ell": 2.0, "n_modes": 5},
+        "schedule": {"theta": 1.0, "chi_max": 0.1, "count": 8, "variant": "adt", "seed": 3},
+        "run": {"t_end": 4.0, "sample_dt": 0.1, "seed": 4, "per_mode_dir": str(tmp_path / "m")},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", str(path), "--output", str(out), "--seed", "11",
+                 "--quiet"]) == 0
+    model = st.ParabolicModel(
+        A=np.reshape(A, (3, 3)), B=np.reshape(B, (3, 3)), mu=0.5, ell=2.0, n_modes=5
+    )
+    sched = st.generate_schedule(0.0, 1.0, 0.1, 8, "adt", seed=11)
+    init = np.random.default_rng(11).standard_normal((5, 3))
+    traj = st.simulate_parabolic(model, sched, init / st.l2_norm(model, init), 4.0, 0.1)
+    assert out.read_text(encoding="utf-8") == st.trajectory_to_csv(traj)
+    assert sorted(p.name for p in (tmp_path / "m").iterdir()) == [
+        f"mode_{j:03d}.csv" for j in range(1, 6)
+    ]
+    for j in range(1, 6):
+        text = (tmp_path / "m" / f"mode_{j:03d}.csv").read_text(encoding="utf-8")
+        assert text == st.mode_csv(traj, j), j
+
+
 def test_mr_check_reference_passes(ref_config_path, tmp_path):
     out = tmp_path / "mr.txt"
     rc = main(["mr-check", "--config", str(ref_config_path), "--output", str(out), "--quiet"])

@@ -8,6 +8,7 @@ import scipy.linalg
 
 import adtstab as st
 from adtstab.linalg import expm
+from adtstab import simulate
 from adtstab.simulate import FLOW_BLOCK
 
 
@@ -684,6 +685,62 @@ def test_csv_writers_equal_per_value_format_oracle(ref):
                 traj.jump_indices, C,
             )
             assert st.mode_csv(traj, j) == oracle
+
+
+def _parabolic_run(n, n_modes=4):
+    sched = st.generate_schedule(0.0, 1.0, 0.2, 6, st.ADT, seed=n)
+    rng = np.random.default_rng(30 + n)
+    A, B = rng.uniform(-1.0, 1.0, (2, n, n))
+    model = st.ParabolicModel(A=A, B=B, mu=0.3, ell=np.pi, n_modes=n_modes)
+    return st.simulate_parabolic(model, sched, rng.standard_normal((n_modes, n)), 3.0, 0.1)
+
+
+def _one_pass(traj):
+    """The CSVs of traj as the CLI renders them: one lead, all modes at once."""
+    lead = simulate._lead(traj, shared=True)
+    return simulate._trajectory_csv(traj, lead), simulate._mode_csvs(traj, slice(None), lead)
+
+
+def _assert_one_pass_equals_one_file_writers(traj):
+    artifact, modes = _one_pass(traj)
+    assert artifact == st.trajectory_to_csv(traj)
+    assert len(modes) == traj.states.shape[1]
+    for j, text in enumerate(modes, 1):
+        assert text == st.mode_csv(traj, j), j
+
+
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_one_pass_csvs_equal_the_one_file_writers(n):
+    traj = _parabolic_run(n)
+    _assert_one_pass_equals_one_file_writers(traj)
+    # the mode norms of the one call are np.linalg.norm's, row by row
+    for j, text in enumerate(_one_pass(traj)[1], 1):
+        C = traj.states[:, j - 1]
+        header = "t,norm,is_post_jump," + ",".join(f"c_{i}" for i in range(n))
+        oracle = _format_oracle_csv(
+            header, traj.times, [np.linalg.norm(c) for c in C], traj.jump_indices, C
+        )
+        assert text == oracle
+
+
+def test_one_pass_csvs_keep_special_and_rescaled_values():
+    traj = _parabolic_run(3, n_modes=3)
+    modal_norm = lambda C: np.sqrt(np.pi / 2.0 * np.sum(C * C))
+    special = _with_special_values(traj, modal_norm)
+    assert "-0," in _one_pass(special)[1][0] and "e-324" in _one_pass(special)[1][2]
+    _assert_one_pass_equals_one_file_writers(special)
+    # the states of test_mode_csv_norm_of_huge_finite_state and
+    # ..._whose_squares_underflow, beside a mode whose norms stay in range
+    c = [-1.3040872462331817e-162, 8.8844394188969555e-167]
+    states = np.array([[[3.0, 4.0], [3.0, 4.0], [1.0, 2.0]],
+                       [[3e200, 4e200], c, [0.5, -0.25]],
+                       [[1.0, 1.0], [0.0, -0.0], [2.0, 2.0]]])
+    traj = st.Trajectory(np.array([0.0, 1.0, 2.0]), states, np.zeros(3), np.array([1]))
+    _assert_one_pass_equals_one_file_writers(traj)
+    norms = [[line.split(",")[1] for line in text.splitlines()[1:]] for text in _one_pass(traj)[1]]
+    assert float(norms[0][1]) == pytest.approx(5e200, rel=1e-15)
+    assert float(norms[1][1]) == pytest.approx(math.hypot(*c), rel=1e-15, abs=0.0)
+    assert norms[1][2] == "0"
 
 
 def test_csv_writers_reject_nan_state():
